@@ -766,9 +766,9 @@ func streamScalePatterns(b *testing.B, tr *translate.Result) (*etable.Pattern, *
 // (roughly 36k and 180k rows — the larger comfortably past 100k).
 // Arms, per scale (named rows=N with the measured result size):
 //
-//   - materializing: the eager path (StreamOff) — every join
-//     intermediate and the full result are built, then the first 10
-//     rows are read. B/op and ns/op grow with the relation.
+//   - materializing: the drained match (MatchOpts) — the full result
+//     is built, then the first 10 rows are read. B/op and ns/op grow
+//     with the relation.
 //   - streaming: MatchSource composed with StreamLimit(10) — the limit
 //     closes the pipeline after the first batch, so upstream production
 //     stops and only the base scans plus one morsel's worth of join
@@ -785,18 +785,18 @@ func BenchmarkStreamingFirstPage(b *testing.B) {
 	p1, p2 := streamScalePatterns(b, tr)
 
 	for i, p := range []*etable.Pattern{p1, p2} {
-		eager, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{Stream: etable.StreamOff})
+		full, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := eager.Len()
+		n := full.Len()
 		if i == 1 && n < 100_000 {
 			b.Fatalf("large join chain yields %d rows, want >= 100k", n)
 		}
 		b.Run(fmt.Sprintf("materializing/rows=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{Stream: etable.StreamOff})
+				m, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1182,16 +1182,16 @@ func BenchmarkSpilledFirstPage(b *testing.B) {
 	p1, p2 := streamScalePatterns(b, tr)
 
 	for _, p := range []*etable.Pattern{p1, p2} {
-		eager, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{Stream: etable.StreamOff})
+		full, err := etable.MatchOpts(tr.Instance, p, etable.ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := eager.Len()
+		n := full.Len()
 
 		b.Run(fmt.Sprintf("inmemory/rows=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				opt := etable.ExecOptions{Stream: etable.StreamOn}
+				opt := etable.ExecOptions{}
 				src, err := etable.MatchSource(tr.Instance, p, opt)
 				if err != nil {
 					b.Fatal(err)
@@ -1230,7 +1230,7 @@ func BenchmarkSpilledFirstPage(b *testing.B) {
 					MaxBytes: maxBytes,
 					Pool:     pager.New(64),
 				}
-				opt := etable.ExecOptions{Stream: etable.StreamOn, MaxRows: 4096, Spill: pol}
+				opt := etable.ExecOptions{MaxRows: 4096, Spill: pol}
 				src, err := etable.MatchSource(tr.Instance, p, opt)
 				if err != nil {
 					b.Fatal(err)

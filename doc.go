@@ -89,7 +89,7 @@
 //     translate time and frozen with the graph (stats.For). They
 //     replace the single AvgOutDegree scalar in the planner's cost
 //     model and drive condition-selectivity estimates.
-//   - internal/etable: planJoins is a cost-based planner propagating
+//   - internal/etable: planJoinsSized is a cost-based planner propagating
 //     estimated cardinalities (JoinStep.EstIn/EstOut) through the join
 //     tree; Execute takes an ExecOptions{Ctx, Pool, Parallelism}
 //     struct, and EstimatePattern gates tiny queries onto the serial
@@ -106,21 +106,21 @@
 //
 // # Adaptive planning
 //
-// Every execution entry point — eager, streaming, parallel, and the
-// estimator — resolves its strategy through one function,
-// etable.PlanFor: a per-frozen-graph, signature-keyed cache of fully
-// prepared plans (compiled predicates, start relation, ordered join
-// steps with cardinality estimates, parallel/streaming gate
-// decisions). Pattern signatures are memoized on the immutable
-// Pattern, so a warm lookup is a pointer load plus one map probe.
-// The planner is adaptive: below a corpus-size threshold it uses
-// greedy no-statistics ordering, above it the statistics-backed cost
-// model (ExecOptions.Planner forces either). Executions record actual
-// per-step cardinalities; when observed/estimated error exceeds a
-// bound, the cached plan is re-planned from the measured sizes.
-// /api/v1/stats exposes hits/misses/evictions, the greedy/cost split,
-// and feedback replans; PERFORMANCE.md §8 records the cache effect
-// and the greedy-vs-cost ablation that justifies the threshold.
+// Instance matching has one pipeline: every entry point (Match,
+// MatchOpts, Execute, the caching Executor's match and prepare)
+// resolves its plan through etable.PlanFor and runs the plan's joins
+// as pull-based morsel iterators, drained or folded straight into the
+// presentation. PlanFor is a per-frozen-graph, signature-keyed cache
+// of fully prepared plans (compiled predicates, start relation,
+// ordered join steps with cardinality estimates, the parallelism
+// gate's peak estimate). Pattern signatures are memoized on the
+// immutable Pattern, so a warm lookup is a pointer load plus one map
+// probe. The planner is adaptive: below a corpus-size threshold it
+// uses greedy no-statistics ordering, above it the statistics-backed
+// cost model (ExecOptions.Planner forces either). /api/v1/stats
+// exposes hits/misses/evictions and the greedy/cost split;
+// PERFORMANCE.md §8 records the cache effect and the greedy-vs-cost
+// ablation that justifies the threshold.
 //
 // # Windowed presentation
 //

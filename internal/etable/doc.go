@@ -5,41 +5,40 @@
 // matching over the typed graph model followed by format transformation
 // into an enriched table (§5.4).
 //
-// # Execution modes
+// # One execution pipeline
 //
-// The matching core m(Q) runs in one of two modes over the same plan
-// (selectedBases + planJoins):
+// The matching core m(Q) has exactly one pipeline: resolve the plan
+// (PlanFor), select the bases through its compiled predicates, and
+// compose the join chain as pull-based morsel iterators
+// (graphrel.RowSource). No intermediate ever exists in full; memory is
+// proportional to the in-flight batches, and a window or LIMIT consumer
+// terminates upstream production after O(window) driving-side work
+// (MatchSource, PrepareFromSource). Every entry point is a thin wrapper
+// over it: MatchOpts, Match, and Executor.MatchWithOpts drain it;
+// Executor.PrepareWithOpts folds the presentation off it on a cache
+// miss; ExecuteOpts drains and transforms. MatchNaive, the plan-free
+// declaration-order matcher, stays as the equivalence oracle.
 //
-//   - Materializing (the historical path): every join step produces a
-//     full intermediate relation. Cheapest for small results — one
-//     arena allocation per step, no per-batch bookkeeping.
-//   - Streaming: the join chain is composed as pull-based morsel
-//     iterators (graphrel.RowSource). No intermediate ever exists in
-//     full; memory is proportional to the in-flight batches, and a
-//     window or LIMIT consumer terminates upstream production after
-//     O(window) driving-side work (MatchSource, PrepareFromSource).
-//
-// ExecOptions.Stream selects the mode. The default, StreamAuto, streams
-// when the statistics-only cost estimate (EstimatePattern) predicts a
-// scan large enough to profit and the pattern has at least one join;
-// the gate is evaluated only inside cache-miss computes, so cache hits
-// never pay for it. Both modes produce byte-identical relations — the
-// streamed pipeline runs the same per-range kernels over contiguous
-// input runs consumed in order — so cache and pin semantics are
-// preserved by materializing lazily: the first full consumption splices
-// the retained batches into the one relation that gets cached.
+// The drained relation is a deterministic splice of batches consumed
+// in order, so cache and pin semantics are preserved by materializing
+// lazily: the first full consumption splices the retained batches into
+// the one relation that gets cached. A joinless pattern's match is its
+// already-resident selected base, used as-is: it is cached without a
+// copy and is exempt from ExecOptions.MaxRows, which bounds what joins
+// produce. With a spill policy, a join result crossing MaxRows
+// overflows to disk instead (PrepareFromSource).
 //
 // # Adaptive planning
 //
-// Both execution modes, the parallel kernels, and EstimatePattern
-// consume the same prepared plan, resolved through PlanFor: a
-// per-frozen-graph LRU cache keyed by the memoized pattern signature.
-// A cached Plan carries everything planning produces — compiled node
-// predicates, the start relation key, the ordered join steps with
-// cardinality estimates, and the streaming/parallel gate inputs — so a
-// repeat pattern (every page fetch, every history revert, every
-// session running the same query) skips planning entirely; a warm
-// lookup costs a pointer load and one map probe (BenchmarkPlanCache).
+// The pipeline, the parallel kernels, and EstimatePattern consume the
+// same prepared plan, resolved through PlanFor: a per-frozen-graph LRU
+// cache keyed by the memoized pattern signature. A cached Plan carries
+// everything planning produces — compiled node predicates, the start
+// relation key, the ordered join steps with cardinality estimates, and
+// the parallelism gate's peak estimate — so a repeat pattern (every
+// page fetch, every history revert, every session running the same
+// query) skips planning entirely; a warm lookup costs a pointer load
+// and one map probe (BenchmarkPlanCache).
 //
 // The ordering policy is adaptive (resolvePlannerMode): below
 // adaptiveStatsMinNodes the greedy no-statistics ordering is used —
@@ -48,16 +47,9 @@
 // cheaper policy wins — and above it the statistics-backed cost model,
 // where skewed fan-out can compound across multi-hop joins.
 // ExecOptions.Planner forces either policy; ExecOptions.NoPlanCache
-// bypasses the cache (with PlannerAuto it reproduces the legacy
-// plan-every-time path exactly, with a forced mode it builds a fresh
-// uncached plan under that policy — the ablation's measurement arm).
-//
-// Plans are corrected by runtime feedback: executions record actual
-// per-step output cardinalities, and when the worst observed/estimated
-// ratio exceeds feedbackReplanRatio the cached entry is re-planned
-// from the measured sizes (same join order → estimates are calibrated
-// in place). PlannerStatsFor exposes hits, misses, evictions, the
-// greedy/cost split, and feedback replans; the server surfaces them at
+// builds a fresh uncached plan per execution (the benchmarks'
+// plan-every-time arm). PlannerStatsFor exposes hits, misses,
+// evictions, and the greedy/cost split; the server surfaces them at
 // /api/v1/stats.
 //
 // # Windowing and recycling

@@ -29,18 +29,13 @@ type ExecOptions struct {
 	// drawn from Pool — cooperate on each kernel. Values <= 1 are
 	// serial.
 	Parallelism int
-	// Stream selects the matching core's execution mode: cost-gated
-	// streaming (StreamAuto, the zero value), always eager (StreamOff),
-	// or always streaming (StreamOn). Both modes produce identical
-	// relations; streaming bounds intermediate memory by the consumer's
-	// appetite instead of the relation's size (see stream.go).
-	Stream StreamMode
 	// MaxRows caps the number of rows any full materialization of this
-	// execution may produce; 0 is unbounded. Exceeding the cap fails
-	// with *graphrel.RowLimitError instead of allocating without limit —
-	// the server's -max-rows guard. The streaming path enforces it
-	// batch by batch (terminating upstream production early); the eager
-	// path checks after each join step. Errors are never cached.
+	// execution's joins may produce; 0 is unbounded. Exceeding the cap
+	// fails with *graphrel.RowLimitError instead of allocating without
+	// limit — the server's -max-rows guard. It is enforced batch by
+	// batch, terminating upstream production early. A joinless match is
+	// its already-resident base relation and is exempt. Errors are never
+	// cached.
 	MaxRows int
 	// Spill enables spill-to-disk execution for the browsable prepare
 	// path: when set, a streamed prepare that crosses MaxRows overflows
@@ -55,13 +50,9 @@ type ExecOptions struct {
 	// force one arm. Forced modes cache under their own keys, so
 	// ablation runs never dislodge the adaptive plans.
 	Planner PlannerMode
-	// NoPlanCache bypasses the plan cache: every execution plans from
-	// scratch. Under PlannerAuto it runs the exact pre-plan-cache code
-	// path (each decision point re-deriving its own estimates — the
-	// plan-every-time baseline for BenchmarkPlanCache and the
-	// equivalence fuzz); under a forced Planner mode it builds a fresh
-	// uncached plan per call in that mode (the per-policy planning-cost
-	// arm of BenchmarkAblation_AdaptivePlanner).
+	// NoPlanCache bypasses the plan cache: every execution builds a
+	// fresh uncached plan (in the Planner mode) — the plan-every-time
+	// arm of BenchmarkPlanCache and BenchmarkAblation_AdaptivePlanner.
 	NoPlanCache bool
 }
 
@@ -71,44 +62,15 @@ type ExecOptions struct {
 // serially no matter the budget.
 const parallelMinEstRows = 2 * graphrel.MorselRows
 
-// effective resolves the options against the pattern's estimated size:
-// parallelism collapses to 1 for queries too small to profit. The
-// estimate comes from the plan cache (EstimatePattern); the planned
-// execution paths use effectiveFor instead, which reads the already
-// resolved plan.
-func (o ExecOptions) effective(g *tgm.InstanceGraph, p *Pattern) ExecOptions {
-	if o.Pool == nil || o.Parallelism <= 1 {
-		o.Parallelism = 1
-		return o
-	}
-	if EstimatePattern(g, p) < parallelMinEstRows {
-		o.Parallelism = 1
-	}
-	return o
-}
-
-// effectiveFor is effective against an already resolved plan: no
-// estimation runs, the gate reads the plan's peak estimate.
+// effectiveFor resolves the options against the plan's peak estimate
+// (EstimatePattern): parallelism collapses to 1 for queries too small
+// to profit.
 func (o ExecOptions) effectiveFor(pl *Plan) ExecOptions {
 	if o.Pool == nil || o.Parallelism <= 1 {
 		o.Parallelism = 1
 		return o
 	}
 	if pl.estPeak < parallelMinEstRows {
-		o.Parallelism = 1
-	}
-	return o
-}
-
-// effectiveFresh is effective with the estimate recomputed from
-// scratch — the NoPlanCache baseline's gate, paying exactly what every
-// execution paid before the plan cache existed.
-func (o ExecOptions) effectiveFresh(g *tgm.InstanceGraph, p *Pattern) ExecOptions {
-	if o.Pool == nil || o.Parallelism <= 1 {
-		o.Parallelism = 1
-		return o
-	}
-	if estimatePatternFresh(g, p) < parallelMinEstRows {
 		o.Parallelism = 1
 	}
 	return o
@@ -137,155 +99,35 @@ func ExecuteOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Result, er
 }
 
 // baseRelation builds one pattern node's selected base relation,
-// σ_C(R^G), with the node's condition pushed down. The selection scan
-// is the first morsel-parallel kernel of a query.
-func baseRelation(g *tgm.InstanceGraph, opt ExecOptions) func(n *PatternNode) (*graphrel.Relation, error) {
+// σ_C(R^G), with the node's condition compiled and pushed down by the
+// serial kernel — MatchNaive's plan-free base builder.
+func baseRelation(g *tgm.InstanceGraph) func(n *PatternNode) (*graphrel.Relation, error) {
 	return func(n *PatternNode) (*graphrel.Relation, error) {
 		r, err := graphrel.BaseNamed(g, n.Type, n.Key)
 		if err != nil {
 			return nil, err
 		}
-		return graphrel.SelectPar(opt.Ctx, opt.Pool, opt.Parallelism, r, n.Key, n.Cond)
+		return graphrel.Select(r, n.Key, n.Cond)
 	}
 }
 
 // Match implements the instance matching function m(Q): it joins the
 // per-node base graph relations (with their selection conditions pushed
-// down) along the pattern's tree edges. Joins run in the selectivity
-// order chosen by planJoins, which produces the same tuple set as the
-// declaration order (MatchNaive) with smaller intermediates. The
-// resulting graph relation has one attribute per pattern node, named by
-// the node's key.
+// down) along the pattern's tree edges. Joins run in the plan's order
+// (PlanFor), which produces the same tuple set as the declaration order
+// (MatchNaive) with smaller intermediates. The resulting graph relation
+// has one attribute per pattern node, named by the node's key.
 func Match(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
-	return MatchColumns(g, p)
+	return MatchOpts(g, p, ExecOptions{})
 }
 
-// MatchOpts is Match under execution options: the selection scans and
-// joins run through the morsel-parallel kernels when the options grant
-// a budget and the query is big enough to profit (see ExecOptions and
-// EstimatePattern), and the whole pipeline runs in streaming mode when
-// the options select it (see StreamMode) — same tuples either way, the
-// streamed pipeline is materialized on return.
+// MatchOpts is Match under execution options: the streamed match
+// (MatchSource) drained into one relation under the row cap. The
+// selection scans and joins run through the morsel-parallel kernels
+// when the options grant a budget and the query is big enough to
+// profit (see ExecOptions and EstimatePattern).
 func MatchOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*graphrel.Relation, error) {
-	if opt.NoPlanCache && opt.Planner == PlannerAuto {
-		opt = opt.effectiveFresh(g, p)
-		if opt.wantStreamFresh(g, p) {
-			src, err := matchSource(g, p, opt, baseRelation(g, opt))
-			if err != nil {
-				return nil, err
-			}
-			return materializeMax(src, opt.MaxRows)
-		}
-		return matchColumnsOpts(g, p, opt)
-	}
-	pl, err := planFor(g, p, opt)
-	if err != nil {
-		return nil, err
-	}
-	opt = opt.effectiveFor(pl)
-	if opt.wantStreamFor(pl, p) {
-		src, err := matchSourcePlanned(g, p, pl, opt, pl.baseRelation(g, opt))
-		if err != nil {
-			return nil, err
-		}
-		return materializeMax(src, opt.MaxRows)
-	}
-	return matchColumnsPlanned(g, p, pl, opt)
-}
-
-// MatchColumns is Match with projection pushdown: when keep is
-// non-empty, attribute columns outside keep are dropped as soon as no
-// remaining join anchors on them, and only the keep columns are
-// returned. With no keep arguments every pattern node's column is
-// retained.
-func MatchColumns(g *tgm.InstanceGraph, p *Pattern, keep ...string) (*graphrel.Relation, error) {
-	pl, err := planFor(g, p, ExecOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return matchColumnsPlanned(g, p, pl, ExecOptions{}, keep...)
-}
-
-// matchColumnsPlanned is the planned eager match body: bases selected
-// through the plan's compiled predicates, joins in the plan's order,
-// actual step cardinalities fed back to the plan cache (planObserve).
-func matchColumnsPlanned(g *tgm.InstanceGraph, p *Pattern, pl *Plan, opt ExecOptions, keep ...string) (*graphrel.Relation, error) {
-	if opt.Ctx != nil {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if p.PrimaryNode() == nil {
-		return nil, fmt.Errorf("etable: pattern has no primary node")
-	}
-	bases, sizes, err := selectedBases(p, pl.baseRelation(g, opt))
-	if err != nil {
-		return nil, err
-	}
-	var needed map[string]bool
-	if len(keep) > 0 {
-		needed = make(map[string]bool, len(keep))
-		for _, k := range keep {
-			if p.Node(k) == nil {
-				return nil, fmt.Errorf("etable: projected key %q is not in the pattern", k)
-			}
-			needed[k] = true
-		}
-	}
-	matched, actuals, err := matchStepsObserved(bases, pl.startKey, pl.steps, needed, opt)
-	if err != nil {
-		return nil, err
-	}
-	planObserve(g, p, pl, sizes, actuals)
-	if needed != nil {
-		// Restore the caller's column order (pushdown keeps join order).
-		return matched.Retain(keep...)
-	}
-	return matched, nil
-}
-
-// matchColumnsOpts is the fresh-planning eager match body: bases, then
-// a cost plan over their exact sizes, then the joins. It remains the
-// NoPlanCache baseline (and MatchNaive's shape).
-func matchColumnsOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, keep ...string) (*graphrel.Relation, error) {
-	if opt.Ctx != nil {
-		// Check once up front so even trivial patterns (no conditions,
-		// no joins — nothing that would recheck between morsels) observe
-		// an already-abandoned request.
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if p.PrimaryNode() == nil {
-		return nil, fmt.Errorf("etable: pattern has no primary node")
-	}
-	bases, sizes, err := selectedBases(p, baseRelation(g, opt))
-	if err != nil {
-		return nil, err
-	}
-	start, steps, err := planJoins(g, p, sizes)
-	if err != nil {
-		return nil, err
-	}
-	var needed map[string]bool
-	if len(keep) > 0 {
-		needed = make(map[string]bool, len(keep))
-		for _, k := range keep {
-			if p.Node(k) == nil {
-				return nil, fmt.Errorf("etable: projected key %q is not in the pattern", k)
-			}
-			needed[k] = true
-		}
-	}
-	matched, err := matchSteps(bases, start, steps, needed, opt)
-	if err != nil {
-		return nil, err
-	}
-	if needed != nil {
-		// Restore the caller's column order (pushdown keeps join order).
-		return matched.Retain(keep...)
-	}
-	return matched, nil
+	return matchDrained(g, p, opt, nil)
 }
 
 // MatchNaive matches with the pre-planner join order: starting at the
@@ -296,7 +138,7 @@ func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 	if p.PrimaryNode() == nil {
 		return nil, fmt.Errorf("etable: pattern has no primary node")
 	}
-	bases, _, err := selectedBases(p, baseRelation(g, ExecOptions{}))
+	bases, err := selectedBases(p, baseRelation(g))
 	if err != nil {
 		return nil, err
 	}
@@ -304,7 +146,7 @@ func MatchNaive(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return matchSteps(bases, start, steps, nil, ExecOptions{})
+	return matchSteps(bases, start, steps)
 }
 
 // errDisconnected reports a pattern whose edges do not connect all nodes

@@ -19,11 +19,11 @@ import (
 // TestLazyEagerEquivalenceFuzz is the out-of-core correctness drill:
 // the same randomized patterns execute against an eagerly loaded graph
 // and a lazily loaded one whose pager budget (2–3 sections) is far
-// below the column count, across the eager, streaming, and
+// below the column count, across the MatchNaive, serial, and
 // morsel-parallel arms — with the three lazy arms racing each other so
 // column faults interleave with evictions. Matched tuple sets and the
-// rendered windows must be byte-identical. The CI race shard runs this
-// under -race.
+// rendered windows must be byte-identical to MatchNaive on the eager
+// graph. The CI race shard runs this under -race.
 func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 	db, err := dataset.Generate(dataset.Config{Papers: 120, Seed: 11})
 	if err != nil {
@@ -54,20 +54,24 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 			}
 			defer lazy.Close()
 
+			serial, parallel := ExecOptions{}, ExecOptions{Pool: pool, Parallelism: 4}
 			arms := []struct {
-				name string
-				opt  ExecOptions
+				name  string
+				opt   ExecOptions
+				match func(*tgm.InstanceGraph, *Pattern) (*graphrel.Relation, error)
 			}{
-				{"eager", ExecOptions{Stream: StreamOff}},
-				{"stream", ExecOptions{Stream: StreamOn}},
-				{"parallel", ExecOptions{Pool: pool, Parallelism: 4}},
+				{"naive", serial, MatchNaive},
+				{"serial", serial, Match},
+				{"parallel", parallel, func(g *tgm.InstanceGraph, p *Pattern) (*graphrel.Relation, error) {
+					return MatchOpts(g, p, parallel)
+				}},
 			}
 			rng := rand.New(rand.NewSource(int64(100 + budget)))
 			for i := 0; i < 12; i++ {
 				p := randomPattern(t, rng, tr.Schema)
-				ref, err := MatchOpts(eager.Graph, p, ExecOptions{Stream: StreamOff})
+				ref, err := MatchNaive(eager.Graph, p)
 				if err != nil {
-					t.Fatalf("pattern %d (%s): eager baseline: %v", i, p, err)
+					t.Fatalf("pattern %d (%s): oracle: %v", i, p, err)
 				}
 				wantTuples := canonMatch(ref)
 				wantWindow := renderWindow(t, eager.Graph, p, ref, ExecOptions{})
@@ -78,9 +82,9 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 				errs := make([]error, len(arms))
 				for ai, arm := range arms {
 					wg.Add(1)
-					go func(ai int, name string, opt ExecOptions) {
+					go func(ai int, name string, opt ExecOptions, match func(*tgm.InstanceGraph, *Pattern) (*graphrel.Relation, error)) {
 						defer wg.Done()
-						got, err := MatchOpts(lazy.Graph, p, opt)
+						got, err := match(lazy.Graph, p)
 						if err != nil {
 							errs[ai] = fmt.Errorf("arm %s: %v", name, err)
 							return
@@ -94,7 +98,7 @@ func TestLazyEagerEquivalenceFuzz(t *testing.T) {
 							errs[ai] = fmt.Errorf("arm %s: rendered window diverges:\n lazy: %s\neager: %s",
 								name, window, wantWindow)
 						}
-					}(ai, arm.name, arm.opt)
+					}(ai, arm.name, arm.opt, arm.match)
 				}
 				wg.Wait()
 				for _, err := range errs {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/graphrel"
+	"repro/internal/tgm"
 	"repro/internal/value"
 )
 
@@ -27,13 +28,8 @@ func TestParallelExecuteEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, budget := range []int{2, 4} {
-			// matchColumnsOpts bypasses the EstimatePattern gate so the
-			// parallel kernels run even on this small test corpus.
-			matched, err := matchColumnsOpts(tr.Instance, p,
+			matched := matchUngated(t, tr.Instance, p,
 				ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: budget})
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, err := transform(tr.Instance, p, matched)
 			if err != nil {
 				t.Fatal(err)
@@ -48,6 +44,30 @@ func TestParallelExecuteEquivalence(t *testing.T) {
 		}
 		assertSameResults(t, name+"/gated", got, want)
 	}
+}
+
+// matchUngated runs the match pipeline with opt's budget as given,
+// bypassing the EstimatePattern gate so the parallel kernels run even
+// on the small test corpus.
+func matchUngated(t *testing.T, g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) *graphrel.Relation {
+	t.Helper()
+	pl, err := PlanFor(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases, err := selectedBases(p, pl.baseRelation(g, opt, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := composeStream(bases, pl, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched, err := graphrel.Materialize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return matched
 }
 
 func assertSameResults(t *testing.T, name string, got, want *Result) {
@@ -82,7 +102,7 @@ func assertSameResults(t *testing.T, name string, got, want *Result) {
 
 // TestSerialFallbackGate pins the statistics-driven gate: on the small
 // test corpus every pattern's peak estimated scan is far below two
-// morsels, so effective() must collapse the budget to 1 — tiny
+// morsels, so effectiveFor must collapse the budget to 1 — tiny
 // interactive queries never pay fan-out overhead.
 func TestSerialFallbackGate(t *testing.T) {
 	tr := planFixture(t)
@@ -94,13 +114,17 @@ func TestSerialFallbackGate(t *testing.T) {
 	if est >= parallelMinEstRows {
 		t.Skipf("test corpus grew past the gate (%v rows)", est)
 	}
+	pl, err := PlanFor(tr.Instance, p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opt := ExecOptions{Pool: exec.NewPool(4), Parallelism: 8}
-	if got := opt.effective(tr.Instance, p); got.Parallelism != 1 {
+	if got := opt.effectiveFor(pl); got.Parallelism != 1 {
 		t.Errorf("effective parallelism = %d, want 1 (est %v < %d)",
 			got.Parallelism, est, parallelMinEstRows)
 	}
 	// Without a pool the budget always collapses.
-	if got := (ExecOptions{Parallelism: 8}).effective(tr.Instance, p); got.Parallelism != 1 {
+	if got := (ExecOptions{Parallelism: 8}).effectiveFor(pl); got.Parallelism != 1 {
 		t.Errorf("pool-less effective parallelism = %d, want 1", got.Parallelism)
 	}
 }
@@ -134,15 +158,12 @@ func TestExecuteOptsCancellation(t *testing.T) {
 func TestPlanStepEstimates(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	_, sizes, err := selectedBases(p, baseRelation(tr.Instance, ExecOptions{}))
+	sizes := exactSizes(t, tr, p)
+	start, steps, err := planJoinsSized(tr.Instance, p, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, steps, err := planJoins(tr.Instance, p, sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := float64(sizes[start])
+	prev := sizes[start]
 	for i, s := range steps {
 		if s.EstIn != prev {
 			t.Errorf("step %d EstIn = %v, want %v", i, s.EstIn, prev)

@@ -22,21 +22,18 @@ type JoinStep struct {
 }
 
 // selectedBases builds σ_C(R^G) for every pattern node through base and
-// returns the relations keyed by node key together with their sizes —
-// the planner's post-selection cardinality input.
-func selectedBases(p *Pattern, base func(*PatternNode) (*graphrel.Relation, error)) (map[string]*graphrel.Relation, map[string]int, error) {
+// returns the relations keyed by node key.
+func selectedBases(p *Pattern, base func(*PatternNode) (*graphrel.Relation, error)) (map[string]*graphrel.Relation, error) {
 	bases := make(map[string]*graphrel.Relation, len(p.Nodes))
-	sizes := make(map[string]int, len(p.Nodes))
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
 		r, err := base(n)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		bases[n.Key] = r
-		sizes[n.Key] = r.Len()
 	}
-	return bases, sizes, nil
+	return bases, nil
 }
 
 // selFrac estimates the selectivity of a pattern node's condition: the
@@ -48,16 +45,6 @@ func selFrac(st *stats.Graph, p *Pattern, key string, sizes map[string]float64) 
 		return 0
 	}
 	return sizes[key] / float64(total)
-}
-
-// planJoins orders the pattern's joins by estimated output cardinality
-// using the exact post-selection base sizes; see planJoinsSized.
-func planJoins(g *tgm.InstanceGraph, p *Pattern, sizes map[string]int) (startKey string, steps []JoinStep, err error) {
-	est := make(map[string]float64, len(sizes))
-	for k, v := range sizes {
-		est[k] = float64(v)
-	}
-	return planJoinsSized(g, p, est)
 }
 
 // planJoinsSized is the cost-based join planner. It orders the
@@ -76,10 +63,10 @@ func planJoins(g *tgm.InstanceGraph, p *Pattern, sizes map[string]int) (startKey
 // multiply it. The tuple set produced is independent of the order; only
 // intermediate sizes change.
 //
-// sizes may be exact post-selection cardinalities (the execution path:
-// bases are computed before planning) or statistics-only estimates
-// (EstimatePattern's pre-execution path); either way every step carries
-// its propagated EstIn/EstOut cardinalities for downstream decisions.
+// sizes are statistics-only estimates of the post-selection base
+// cardinalities (plans are built before any base relation exists);
+// every step carries its propagated EstIn/EstOut cardinalities for
+// downstream decisions.
 func planJoinsSized(g *tgm.InstanceGraph, p *Pattern, sizes map[string]float64) (startKey string, steps []JoinStep, err error) {
 	st := stats.For(g)
 	for _, n := range p.Nodes {
@@ -126,8 +113,8 @@ func planJoinsSized(g *tgm.InstanceGraph, p *Pattern, sizes map[string]float64) 
 // model's machinery doesn't pay for itself (PERFORMANCE.md §8); the
 // adaptive planner picks it below adaptiveStatsMinNodes. The emitted
 // steps still carry fanout-model estimates (computed along the chosen
-// order from estSizes) so the execution gates and the feedback loop
-// see numbers comparable to a cost-ordered plan's.
+// order from estSizes) so the execution gates see numbers comparable
+// to a cost-ordered plan's.
 func greedyJoins(g *tgm.InstanceGraph, p *Pattern, estSizes map[string]float64) (startKey string, steps []JoinStep, err error) {
 	st := stats.For(g)
 	raw := make(map[string]float64, len(p.Nodes))
@@ -195,63 +182,18 @@ func declaredSteps(schema *tgm.SchemaGraph, p *Pattern) (startKey string, steps 
 	return prim.Key, steps, nil
 }
 
-// matchSteps executes a join plan over pre-selected base relations,
-// with the execution options deciding serial vs morsel-parallel joins
-// (graphrel.JoinPar degrades to the serial kernel for sub-morsel
-// inputs, nil pools, or budgets of 1). When needed is non-nil,
-// attribute columns that are neither join anchors of a remaining step
-// nor in needed are dropped right after each join (projection pushdown;
-// Retain shares columns, so dropping is zero-copy).
-func matchSteps(bases map[string]*graphrel.Relation, startKey string, steps []JoinStep, needed map[string]bool, opt ExecOptions) (*graphrel.Relation, error) {
-	rel, _, err := matchStepsObserved(bases, startKey, steps, needed, opt)
-	return rel, err
-}
-
-// matchStepsObserved is matchSteps plus the feedback loop's input: the
-// actual output cardinality of every join step, recorded as it
-// executes (free — the relations know their length). planObserve
-// compares them against the plan's estimates.
-func matchStepsObserved(bases map[string]*graphrel.Relation, startKey string, steps []JoinStep, needed map[string]bool, opt ExecOptions) (*graphrel.Relation, []int, error) {
+// matchSteps executes a join plan eagerly over pre-selected base
+// relations with the serial kernels: the plain join loop behind
+// MatchNaive.
+func matchSteps(bases map[string]*graphrel.Relation, startKey string, steps []JoinStep) (*graphrel.Relation, error) {
 	cur := bases[startKey]
-	actuals := make([]int, 0, len(steps))
-	for si, st := range steps {
-		var err error
-		if cur, err = graphrel.JoinPar(opt.Ctx, opt.Pool, opt.Parallelism, cur, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey); err != nil {
-			return nil, nil, err
-		}
-		actuals = append(actuals, cur.Len())
-		// The MaxRows guard, on the eager path: checked after each step,
-		// so a pathological join fails before later steps amplify it
-		// further (the streaming path enforces the same cap batch by
-		// batch, before the relation ever exists in full).
-		if opt.MaxRows > 0 && cur.Len() > opt.MaxRows {
-			return nil, nil, graphrel.LimitExceeded(opt.MaxRows, cur.Len())
-		}
-		if needed == nil {
-			continue
-		}
-		keep := make([]string, 0, len(cur.Attrs))
-		for _, a := range cur.Attrs {
-			if needed[a.Name] || anchorsRemaining(a.Name, steps[si+1:]) {
-				keep = append(keep, a.Name)
-			}
-		}
-		if len(keep) < len(cur.Attrs) {
-			if cur, err = cur.Retain(keep...); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	return cur, actuals, nil
-}
-
-func anchorsRemaining(name string, steps []JoinStep) bool {
 	for _, st := range steps {
-		if st.AnchorKey == name {
-			return true
+		var err error
+		if cur, err = graphrel.Join(cur, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey); err != nil {
+			return nil, err
 		}
 	}
-	return false
+	return cur, nil
 }
 
 // EstimatePattern estimates, from statistics alone (no execution), the
@@ -267,35 +209,9 @@ func anchorsRemaining(name string, steps []JoinStep) bool {
 // number the cached plan's gates use, computed once per signature, not
 // a second planning pass.
 func EstimatePattern(g *tgm.InstanceGraph, p *Pattern) float64 {
-	if pl, err := PlanFor(g, p); err == nil {
-		return pl.estPeak
+	pl, err := PlanFor(g, p)
+	if err != nil {
+		return 0 // unplannable: execution fails before any kernel runs
 	}
-	return estimatePatternFresh(g, p)
-}
-
-// estimatePatternFresh recomputes the peak-scan estimate from scratch
-// on every call: the fallback for unplannable patterns and the
-// plan-every-time baseline the NoPlanCache ablation path runs.
-func estimatePatternFresh(g *tgm.InstanceGraph, p *Pattern) float64 {
-	st := stats.For(g)
-	peak := 0.0
-	estSizes := make(map[string]float64, len(p.Nodes))
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		if cnt := float64(st.Nodes[n.Type].Count); cnt > peak {
-			peak = cnt
-		}
-		estSizes[n.Key] = st.EstimateBaseRows(n.Type, n.Cond)
-	}
-	if _, steps, err := planJoinsSized(g, p, estSizes); err == nil {
-		for _, s := range steps {
-			if s.EstIn > peak {
-				peak = s.EstIn
-			}
-			if s.EstOut > peak {
-				peak = s.EstOut
-			}
-		}
-	}
-	return peak
+	return pl.estPeak
 }

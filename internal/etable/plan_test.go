@@ -195,65 +195,30 @@ func TestPlannerExecuteEquivalence(t *testing.T) {
 func TestPlannerStartsAtMostSelectiveNode(t *testing.T) {
 	tr := planFixture(t)
 	p := figure7PlanPattern(t, tr)
-	bases, sizes, err := selectedBases(p, baseRelation(tr.Instance, ExecOptions{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start, steps, err := planJoins(tr.Instance, p, sizes)
+	sizes := exactSizes(t, tr, p)
+	start, steps, err := planJoinsSized(tr.Instance, p, sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if start != "Conferences" {
-		t.Errorf("planner start = %q, want Conferences (size %d)", start, sizes[start])
+		t.Errorf("planner start = %q, want Conferences (size %v)", start, sizes[start])
 	}
 	if len(steps) != len(p.Nodes)-1 {
 		t.Errorf("planned %d steps, want %d", len(steps), len(p.Nodes)-1)
 	}
-	if bases[start].Len() != sizes[start] {
-		t.Errorf("base size bookkeeping inconsistent")
-	}
 }
 
-// TestMatchColumnsPushdown asserts the projected matcher returns exactly
-// the requested columns with the same distinct node sets as the full
-// match.
-func TestMatchColumnsPushdown(t *testing.T) {
-	tr := planFixture(t)
-	p := figure7PlanPattern(t, tr)
-	full, err := Match(tr.Instance, p)
+// exactSizes returns the pattern's exact post-selection base sizes, the
+// truth the planner's cardinality inputs estimate.
+func exactSizes(t *testing.T, tr *translate.Result, p *Pattern) map[string]float64 {
+	t.Helper()
+	bases, err := selectedBases(p, baseRelation(tr.Instance))
 	if err != nil {
 		t.Fatal(err)
 	}
-	proj, err := MatchColumns(tr.Instance, p, "Authors", "Papers")
-	if err != nil {
-		t.Fatal(err)
+	sizes := make(map[string]float64, len(bases))
+	for k, r := range bases {
+		sizes[k] = float64(r.Len())
 	}
-	if len(proj.Attrs) != 2 || proj.Attrs[0].Name != "Authors" || proj.Attrs[1].Name != "Papers" {
-		t.Fatalf("projected attrs = %v", proj.Attrs)
-	}
-	for _, key := range []string{"Authors", "Papers"} {
-		want, err := graphrel.DistinctNodes(full, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := graphrel.DistinctNodes(proj, key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws := map[int32]bool{}
-		for _, id := range want {
-			ws[int32(id)] = true
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d distinct nodes, want %d", key, len(got), len(want))
-		}
-		for _, id := range got {
-			if !ws[int32(id)] {
-				t.Fatalf("%s: unexpected node %v", key, id)
-			}
-		}
-	}
-	if _, err := MatchColumns(tr.Instance, p, "Nope"); err == nil {
-		t.Error("unknown projected key accepted")
-	}
+	return sizes
 }

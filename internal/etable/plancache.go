@@ -11,40 +11,28 @@ import (
 	"repro/internal/tgm"
 )
 
-// Adaptive planning: every execution path — Execute, the caching
-// Executor, MatchSource, EstimatePattern — resolves its plan through
-// one entry point, PlanFor, backed by a per-frozen-graph plan cache
+// Adaptive planning: the match pipeline and EstimatePattern resolve
+// their plan through one entry point, PlanFor, backed by a per-frozen-graph plan cache
 // keyed on the pattern's canonical signature. A cached Plan is the
 // fully prepared execution recipe: compiled per-node selection
 // predicates, the start base, the ordered join steps with their
 // cardinality estimates, and the peak-scan estimate that gates the
-// parallel and streaming modes. Sessions replay a small set of
+// parallel kernels. Sessions replay a small set of
 // signatures thousands of times; with the cache, the second and every
 // later execution of a signature skips estimation, condition
 // compilation, and join ordering entirely.
 //
-// The planner is adaptive on two axes:
+// The ordering policy is adaptive: below adaptiveStatsMinNodes instance
+// nodes the join order is chosen by a statistics-free greedy rule
+// (extend to the smallest raw base); above it, by the fan-out ×
+// selectivity cost model. Small corpora are where the cost model's
+// estimation error can exceed what optimal ordering saves ("When Greedy
+// Beats Optimal"); PERFORMANCE.md §8 measures the crossover that picked
+// the threshold. ExecOptions.Planner overrides the choice per
+// execution.
 //
-//   - Ordering policy. Below adaptiveStatsMinNodes instance nodes the
-//     join order is chosen by a statistics-free greedy rule (extend to
-//     the smallest raw base); above it, by the fan-out × selectivity
-//     cost model. Small corpora are where the cost model's estimation
-//     error can exceed what optimal ordering saves ("When Greedy Beats
-//     Optimal"); PERFORMANCE.md §8 measures the crossover that picked
-//     the threshold. ExecOptions.Planner overrides the choice per
-//     execution.
-//   - Runtime feedback. The eager execution path reports each step's
-//     actual output cardinality back to the cache (planObserve). When
-//     the worst observed/estimated ratio exceeds feedbackReplanRatio,
-//     the entry is re-planned from the observed truth and replaced, so
-//     a bad ordering cannot stay pinned in the cache. Re-planning
-//     converges: a replacement whose ordering already matches the
-//     truth-fed cost model gets its estimates calibrated to the
-//     observations instead, and a frozen graph's cardinalities are
-//     deterministic, so at most two replacements happen per signature.
-//
-// Plans are immutable after publication; feedback replaces whole
-// entries. The cache lives on the instance graph (tgm.PlanCache), so
+// Plans are immutable after publication. The cache lives on the
+// instance graph (tgm.PlanCache), so
 // plans share the graph's lifetime and can never be served for a
 // different graph. Unfrozen graphs plan fresh on every call, exactly
 // like statistics.
@@ -97,10 +85,6 @@ const (
 	// cost model starts paying for itself once skewed fan-outs have
 	// room to multiply intermediates.
 	adaptiveStatsMinNodes = 10_000
-	// feedbackReplanRatio bounds tolerated estimation error: when any
-	// step's actual output cardinality is off from its estimate by more
-	// than this factor (either direction), the cached plan is replaced.
-	feedbackReplanRatio = 8.0
 	// defaultPlanCacheEntries bounds each graph's plan cache. Plans are
 	// a few hundred bytes; the bound exists to keep pathological
 	// signature churn (e.g. fuzzed conditions) from growing without
@@ -110,8 +94,7 @@ const (
 
 // Plan is one fully prepared execution plan for a pattern signature:
 // everything derivable before base relations exist. Plans are immutable
-// once published — the feedback loop replaces entries instead of
-// mutating them — so concurrent executions share them freely.
+// once published, so concurrent executions share them freely.
 type Plan struct {
 	sig      string
 	mode     PlannerMode // resolved: PlannerGreedy or PlannerCost
@@ -119,14 +102,11 @@ type Plan struct {
 	steps    []JoinStep
 	// estPeak is the statistics-only estimate of the largest relation
 	// any kernel will scan (EstimatePattern's answer); it feeds the
-	// parallel and streaming gates.
+	// parallelism gate.
 	estPeak float64
 	// preds holds each conditioned node's selection predicate, compiled
 	// once at plan time (nil entry = unconditioned node).
 	preds map[string]expr.Pred
-	// cached reports whether this plan lives in a plan cache — only
-	// cached plans participate in the feedback loop.
-	cached bool
 }
 
 // Mode returns the resolved ordering policy that built the plan.
@@ -135,16 +115,24 @@ func (pl *Plan) Mode() PlannerMode { return pl.mode }
 // EstPeak returns the plan's peak-scan estimate (see EstimatePattern).
 func (pl *Plan) EstPeak() float64 { return pl.estPeak }
 
-// baseRelation is the planned counterpart of the package-level
-// baseRelation builder: selections run through the plan's compiled
-// predicates, so repeated executions skip condition compilation.
-func (pl *Plan) baseRelation(g *tgm.InstanceGraph, opt ExecOptions) func(*PatternNode) (*graphrel.Relation, error) {
+// baseRelation builds each pattern node's selected base σ_C(R^G)
+// through the plan's compiled predicates, so repeated executions skip
+// condition compilation. With a cache (the Executor's), bases are
+// served from it per (node, condition); hits are option-independent
+// because parallel and serial kernels produce identical relations.
+func (pl *Plan) baseRelation(g *tgm.InstanceGraph, opt ExecOptions, c *Cache) func(*PatternNode) (*graphrel.Relation, error) {
 	return func(n *PatternNode) (*graphrel.Relation, error) {
-		r, err := graphrel.BaseNamed(g, n.Type, n.Key)
-		if err != nil {
-			return nil, err
+		sel := func() (*graphrel.Relation, error) {
+			r, err := graphrel.BaseNamed(g, n.Type, n.Key)
+			if err != nil {
+				return nil, err
+			}
+			return graphrel.SelectParPred(opt.Ctx, opt.Pool, opt.Parallelism, r, n.Key, pl.preds[n.Key])
 		}
-		return graphrel.SelectParPred(opt.Ctx, opt.Pool, opt.Parallelism, r, n.Key, pl.preds[n.Key])
+		if c == nil {
+			return sel()
+		}
+		return getOrComputeLive(opt.Ctx, c, basePrefix+nodeSignature(n), sel)
 	}
 }
 
@@ -173,14 +161,14 @@ func PlanForOpts(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, erro
 func planFor(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (*Plan, error) {
 	mode := resolvePlannerMode(g, opt.Planner)
 	if opt.NoPlanCache || !g.Frozen() {
-		return buildPlan(g, p, mode, false)
+		return buildPlan(g, p, mode)
 	}
 	pc := planCacheFor(g)
 	key := planKey(mode, Signature(p))
 	if pl, ok := pc.get(key); ok {
 		return pl, nil
 	}
-	pl, err := buildPlan(g, p, mode, true)
+	pl, err := buildPlan(g, p, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -209,10 +197,10 @@ func resolvePlannerMode(g *tgm.InstanceGraph, m PlannerMode) PlannerMode {
 // buildPlan prepares a plan from statistics alone (no base relation is
 // built): estimated base sizes, compiled predicates, the join order of
 // the resolved mode, and the peak-scan estimate. The peak estimate is
-// always derived from the cost-model ordering so EstimatePattern (and
-// both execution gates) see the same number regardless of which
+// always derived from the cost-model ordering so EstimatePattern and
+// the parallelism gate see the same number regardless of which
 // ordering executes.
-func buildPlan(g *tgm.InstanceGraph, p *Pattern, mode PlannerMode, cached bool) (*Plan, error) {
+func buildPlan(g *tgm.InstanceGraph, p *Pattern, mode PlannerMode) (*Plan, error) {
 	st := stats.For(g)
 	estSizes := make(map[string]float64, len(p.Nodes))
 	preds := make(map[string]expr.Pred, len(p.Nodes))
@@ -243,7 +231,7 @@ func buildPlan(g *tgm.InstanceGraph, p *Pattern, mode PlannerMode, cached bool) 
 		}
 	}
 	return &Plan{sig: Signature(p), mode: mode, startKey: start, steps: steps,
-		estPeak: estPeak, preds: preds, cached: cached}, nil
+		estPeak: estPeak, preds: preds}, nil
 }
 
 // planPeak is EstimatePattern's formula over prepared steps: the
@@ -265,41 +253,6 @@ func planPeak(st *stats.Graph, p *Pattern, steps []JoinStep) float64 {
 		}
 	}
 	return peak
-}
-
-// planObserve feeds one eager execution's actual per-step output
-// cardinalities back to the plan cache. When the worst
-// observed/estimated ratio exceeds feedbackReplanRatio, the cached
-// entry is re-planned from the observed truth and replaced. Only
-// cache-resident plans participate; the streaming path never
-// materializes intermediates, so it reports nothing.
-func planObserve(g *tgm.InstanceGraph, p *Pattern, pl *Plan, sizes map[string]int, actuals []int) {
-	if pl == nil || !pl.cached || len(actuals) == 0 || len(actuals) != len(pl.steps) {
-		return
-	}
-	if stepErrRatio(pl.steps, actuals) <= feedbackReplanRatio {
-		return
-	}
-	if pc, ok := g.PlanCache().(*planCache); ok {
-		pc.replan(g, p, pl, sizes, actuals)
-	}
-}
-
-// stepErrRatio is the worst per-step estimation error, as a ratio ≥ 1
-// (+1 smoothing keeps empty steps finite).
-func stepErrRatio(steps []JoinStep, actuals []int) float64 {
-	worst := 1.0
-	for i, st := range steps {
-		est, act := st.EstOut+1, float64(actuals[i])+1
-		r := est / act
-		if r < 1 {
-			r = 1 / r
-		}
-		if r > worst {
-			worst = r
-		}
-	}
-	return worst
 }
 
 // planKey namespaces cache entries by resolved mode, so a forced
@@ -332,7 +285,6 @@ type planCache struct {
 
 	hits, misses, evictions atomic.Int64
 	greedyPlans, costPlans  atomic.Int64
-	replans                 atomic.Int64
 }
 
 type planElem struct {
@@ -410,50 +362,6 @@ func (pc *planCache) moveFront(el *planElem) {
 	pc.pushFront(el)
 }
 
-// replan replaces the cached plan for pl's signature with one built
-// from the observed truth: the exact post-selection base sizes feed
-// the cost model regardless of the original mode (feedback corrects
-// greedy orderings too). When the truth-fed ordering already matches
-// the plan's, only the estimates were wrong — they are calibrated to
-// the observed cardinalities instead, so the next execution is quiet;
-// without this, an optimally ordered plan over skewed data would
-// replan on every execution.
-func (pc *planCache) replan(g *tgm.InstanceGraph, p *Pattern, pl *Plan, sizes map[string]int, actuals []int) {
-	exact := make(map[string]float64, len(sizes))
-	for k, v := range sizes {
-		exact[k] = float64(v)
-	}
-	start, steps, err := planJoinsSized(g, p, exact)
-	if err != nil {
-		return
-	}
-	if start == pl.startKey && sameJoinOrder(steps, pl.steps) {
-		steps = append([]JoinStep(nil), pl.steps...)
-		in := exact[pl.startKey]
-		for i := range steps {
-			steps[i].EstIn = in
-			steps[i].EstOut = float64(actuals[i])
-			in = steps[i].EstOut
-		}
-	}
-	np := &Plan{sig: pl.sig, mode: pl.mode, startKey: start, steps: steps,
-		estPeak: planPeak(stats.For(g), p, steps), preds: pl.preds, cached: true}
-	pc.put(planKey(pl.mode, pl.sig), np)
-	pc.replans.Add(1)
-}
-
-func sameJoinOrder(a, b []JoinStep) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].AnchorKey != b[i].AnchorKey || a[i].NewKey != b[i].NewKey || a[i].EdgeName != b[i].EdgeName {
-			return false
-		}
-	}
-	return true
-}
-
 // PlannerStats is a point-in-time snapshot of one graph's planning
 // tier, surfaced by the server as the /api/v1/stats "planner" block.
 type PlannerStats struct {
@@ -462,8 +370,8 @@ type PlannerStats struct {
 	Hits, Misses, Evictions int64
 	Entries                 int
 	// GreedyPlans and CostPlans count plans built per resolved ordering
-	// policy; Replans counts feedback-driven replacements.
-	GreedyPlans, CostPlans, Replans int64
+	// policy.
+	GreedyPlans, CostPlans int64
 	// AdaptiveThreshold is the instance-node count at which PlannerAuto
 	// switches from greedy to cost-based ordering.
 	AdaptiveThreshold int
@@ -485,6 +393,5 @@ func PlannerStatsFor(g *tgm.InstanceGraph) PlannerStats {
 	s.Evictions = pc.evictions.Load()
 	s.GreedyPlans = pc.greedyPlans.Load()
 	s.CostPlans = pc.costPlans.Load()
-	s.Replans = pc.replans.Load()
 	return s
 }

@@ -28,7 +28,8 @@ func testSpillPolicy(t testing.TB, runRows int) (*graphrel.SpillPolicy, *spill.M
 // fuzz: random selectivities, batch sizes, run sizes, and spill
 // triggers force the streamed prepare over its threshold, and every
 // rendered window — including sorted variants — must be identical to
-// the heap path's, cell for cell. Run under -race by scripts/check.sh.
+// the heap presentation of the MatchNaive oracle, cell for cell. Run
+// under -race by scripts/check.sh.
 func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 	tr := planFixture(t)
 	rng := rand.New(rand.NewSource(77))
@@ -39,26 +40,26 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 			opAdd(tr, "Paper_Authors"),
 			opAdd(tr, "Authors→Institutions"),
 		)
-		eagerMatched, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
+		naiveMatched, err := MatchNaive(tr.Instance, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eagerMatched.Len() < 8 {
+		if naiveMatched.Len() < 8 {
 			continue // too selective to force a spill meaningfully
 		}
-		eagerPr, err := Prepare(tr.Instance, p, eagerMatched)
+		naivePr, err := Prepare(tr.Instance, p, naiveMatched)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := eagerPr.Window(0, -1)
+		want, err := naivePr.Window(0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		withSmallStreamBatches(t, 1+rng.Intn(48))
 		pol, metrics := testSpillPolicy(t, 1+rng.Intn(32))
-		trigger := 1 + rng.Intn(eagerMatched.Len()-1)
-		opt := ExecOptions{Stream: StreamOn, MaxRows: trigger, Spill: pol}
+		trigger := 1 + rng.Intn(naiveMatched.Len()-1)
+		opt := ExecOptions{MaxRows: trigger, Spill: pol}
 		src, err := MatchSource(tr.Instance, p, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -72,10 +73,10 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 		}
 		if pr.Spilled() == nil {
 			t.Fatalf("trial %d: %d match rows > trigger %d but nothing spilled",
-				trial, eagerMatched.Len(), trigger)
+				trial, naiveMatched.Len(), trigger)
 		}
-		if pr.Spilled().Len() != eagerMatched.Len() {
-			t.Fatalf("trial %d: spilled %d rows, want %d", trial, pr.Spilled().Len(), eagerMatched.Len())
+		if pr.Spilled().Len() != naiveMatched.Len() {
+			t.Fatalf("trial %d: spilled %d rows, want %d", trial, pr.Spilled().Len(), naiveMatched.Len())
 		}
 
 		got, err := pr.Window(0, -1)
@@ -89,7 +90,7 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ww, err := eagerPr.Window(off, lim)
+			ww, err := naivePr.Window(off, lim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +116,7 @@ func TestSpilledPrepareEquivalenceRandomized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wv, err := eagerPr.SortedView(spec)
+			wv, err := naivePr.SortedView(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +162,7 @@ func TestSpilledExecutorBrowsable(t *testing.T) {
 	}
 	pol, metrics := testSpillPolicy(t, 4)
 	e := NewExecutor(tr.Instance)
-	opt := ExecOptions{Stream: StreamOn, MaxRows: 2, Spill: pol}
+	opt := ExecOptions{MaxRows: 2, Spill: pol}
 
 	pr, pin, err := e.PrepareWithOpts(p, opt)
 	if err != nil {
@@ -211,38 +212,50 @@ func TestSpilledExecutorBrowsable(t *testing.T) {
 	}
 }
 
-// TestSpilledEagerFallback: when the eager path trips the row cap
-// mid-plan and a spill policy is set, the executor retries the pattern
-// as a forced streaming prepare that spills — the caller sees a
-// browsable result, not a 413.
-func TestSpilledEagerFallback(t *testing.T) {
+// TestJoinlessPrepareStaysResident: a joinless pattern's match is its
+// already-resident base relation. Even when that base exceeds MaxRows
+// under a spill policy, the prepare caches the base itself (no copy),
+// pins it, and never spills — the row cap bounds what joins produce.
+func TestJoinlessPrepareStaysResident(t *testing.T) {
 	tr := planFixture(t)
-	p := figure7PlanPattern(t, tr)
-	full, err := Execute(tr.Instance, p)
-	if err != nil {
-		t.Fatal(err)
+	p := buildPattern(t, tr, "Papers", opSelect("year > 1990"))
+	if len(p.Edges) != 0 {
+		t.Fatalf("pattern has %d edges, want joinless", len(p.Edges))
 	}
-	pol, _ := testSpillPolicy(t, 8)
+	pol, metrics := testSpillPolicy(t, 4)
 	e := NewExecutor(tr.Instance)
-	pr, _, err := e.PrepareWithOpts(p, ExecOptions{Stream: StreamOff, MaxRows: 2, Spill: pol})
-	if err != nil {
-		t.Fatalf("eager prepare with spill fallback: %v", err)
-	}
-	defer pr.Close()
-	if pr.Spilled() == nil {
-		t.Fatal("fallback prepare stayed on the heap")
-	}
-	got, err := pr.Window(0, -1)
+	opt := ExecOptions{MaxRows: 2, Spill: pol}
+
+	pr, pin, err := e.PrepareWithOpts(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "eager-fallback", got, full)
-
-	// Without a policy the cap still fails eagerly.
-	_, _, err = e.PrepareWithOpts(p, ExecOptions{Stream: StreamOff, MaxRows: 2})
-	var rle *graphrel.RowLimitError
-	if !errors.As(err, &rle) || rle.Limit != 2 || rle.Rows <= 2 {
-		t.Fatalf("err = %v, want RowLimitError{Limit: 2, Rows > 2}", err)
+	if pin == nil {
+		t.Fatal("joinless prepare returned no pin (spilled instead of cached?)")
+	}
+	defer pin.Release()
+	if pr.Spilled() != nil {
+		t.Fatal("joinless prepare spilled its base relation")
+	}
+	base, ok := e.Cache().Get(basePrefix + nodeSignature(&p.Nodes[0]))
+	if !ok {
+		t.Fatal("selected base not cached")
+	}
+	if base.Len() <= opt.MaxRows {
+		t.Fatalf("fixture too small: base has %d rows, cap %d", base.Len(), opt.MaxRows)
+	}
+	matched, ok := e.Cache().Get(matchPrefix + Signature(p))
+	if !ok {
+		t.Fatal("joinless match not cached")
+	}
+	if matched != base {
+		t.Fatal("cached match is a copy, not the resident base relation")
+	}
+	if pr.NumRows() != base.Len() {
+		t.Fatalf("presentation has %d rows, want %d", pr.NumRows(), base.Len())
+	}
+	if st := metrics.Snapshot(); st.Spills != 0 {
+		t.Fatalf("joinless prepare spilled: %+v", st)
 	}
 }
 
@@ -256,7 +269,7 @@ func TestSpillByteBudgetExceeded(t *testing.T) {
 	pol.MaxBytes = 128 // a single run exceeds this
 	pol.Named = true   // visible files so the cleanup assert can look
 	e := NewExecutor(tr.Instance)
-	_, _, err := e.PrepareWithOpts(p, ExecOptions{Stream: StreamOn, MaxRows: 2, Spill: pol})
+	_, _, err := e.PrepareWithOpts(p, ExecOptions{MaxRows: 2, Spill: pol})
 	var rle *graphrel.RowLimitError
 	if !errors.As(err, &rle) || rle.Limit != 2 {
 		t.Fatalf("err = %v, want RowLimitError{Limit: 2}", err)

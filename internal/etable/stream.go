@@ -11,13 +11,13 @@ import (
 	"repro/internal/tgm"
 )
 
-// Streaming execution: the matching pipeline composed as pull-based
-// morsel iterators (graphrel.RowSource) instead of fully materialized
-// intermediates. The planner's join order is unchanged — the same
-// selectedBases/planJoins plan drives both modes — but in streaming
-// mode each join step is a StreamJoin stage probing batches of the
-// driving side against a hash index over its (cached, materialized)
-// base relation, so no intermediate relation ever exists in full.
+// Streaming execution: instance matching m(Q) has one pipeline, a
+// chain of pull-based morsel iterators (graphrel.RowSource). Every
+// entry point — MatchOpts and Match (drained), Executor.MatchWithOpts
+// and PrepareWithOpts, ExecuteOpts — runs match below. Each join step
+// is a StreamJoin stage probing batches of the driving side against a
+// hash index over its (cached, materialized) base relation, so no
+// intermediate relation ever exists in full.
 //
 // Memory tracks the consumer: a window or LIMIT consumer pulls only
 // the batches it needs (graphrel.StreamLimit terminates upstream
@@ -31,165 +31,90 @@ import (
 // first full consumption splices the retained batches into one
 // arena-backed relation (graphrel.ConcatAll), which is what gets
 // cached and pinned. Batches are contiguous runs of the driving base
-// consumed in order and every stage shares its per-range phase with
-// the eager kernel, so the spliced relation — and everything derived
-// from it — is identical to the eager path's output.
-
-// StreamMode selects how the matching core executes a query.
-type StreamMode uint8
-
-const (
-	// StreamAuto streams when the pattern's estimated peak scan is
-	// large enough to profit (streamMinEstRows) and the pattern has at
-	// least one join; small interactive queries stay on the eager path,
-	// whose single-relation materialization is cheaper than per-batch
-	// bookkeeping. The cost gate runs only on cache misses.
-	StreamAuto StreamMode = iota
-	// StreamOff always materializes every intermediate (the pre-PR-6
-	// behavior).
-	StreamOff
-	// StreamOn streams every query with at least one join, regardless
-	// of estimated size. Joinless patterns are a single cached base
-	// relation — streaming them would only copy it.
-	StreamOn
-)
-
-// streamMinEstRows is the streaming cost gate: below a few morsels of
-// estimated peak scan, the eager path's one-shot materialization is
-// cheaper than per-batch headers and queue bookkeeping. The estimate
-// is the same statistics-only EstimatePattern the parallelism gate
-// uses.
-const streamMinEstRows = 4 * graphrel.MorselRows
-
-// wantStream decides the execution mode for one compute. It is
-// consulted only inside cache-miss compute closures — cache hits never
-// pay for the estimate (which itself now comes from the plan cache;
-// the planned paths use wantStreamFor to read the already resolved
-// plan directly).
-func (o ExecOptions) wantStream(g *tgm.InstanceGraph, p *Pattern) bool {
-	if len(p.Edges) == 0 {
-		return false
-	}
-	switch o.Stream {
-	case StreamOff:
-		return false
-	case StreamOn:
-		return true
-	}
-	return EstimatePattern(g, p) >= streamMinEstRows
-}
-
-// wantStreamFor is wantStream against an already resolved plan.
-func (o ExecOptions) wantStreamFor(pl *Plan, p *Pattern) bool {
-	if len(p.Edges) == 0 {
-		return false
-	}
-	switch o.Stream {
-	case StreamOff:
-		return false
-	case StreamOn:
-		return true
-	}
-	return pl.estPeak >= streamMinEstRows
-}
-
-// wantStreamFresh is wantStream with the estimate recomputed from
-// scratch — the NoPlanCache baseline's gate.
-func (o ExecOptions) wantStreamFresh(g *tgm.InstanceGraph, p *Pattern) bool {
-	if len(p.Edges) == 0 {
-		return false
-	}
-	switch o.Stream {
-	case StreamOff:
-		return false
-	case StreamOn:
-		return true
-	}
-	return estimatePatternFresh(g, p) >= streamMinEstRows
-}
+// consumed in order, so the spliced relation is a deterministic
+// function of the plan, whatever the batch size or parallelism budget.
 
 // streamBatchRows overrides the streamed pipeline's batch size; 0 uses
 // graphrel.MorselRows. Tests shrink it to exercise multi-batch
 // pipelines on hand-checkable fixtures.
 var streamBatchRows = 0
 
-// MatchSource returns the pattern's instance matching m(Q) as a
-// pull-based stream of morsel batches: the planner's base relations
-// are built (and their selections pushed down) exactly as in MatchOpts,
-// then the join chain starting from the planner's start base is
-// composed as StreamJoin stages instead of materializing joins.
-// Concatenating the stream's batches in order yields exactly
-// MatchOpts(g, p, opt); consuming only a window of it does only the
-// driving-side work that window needs. The caller must Close the
-// source (Materialize and PrepareFromSource do so themselves).
-func MatchSource(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (graphrel.RowSource, error) {
-	if opt.NoPlanCache && opt.Planner == PlannerAuto {
-		opt = opt.effectiveFresh(g, p)
-		return matchSource(g, p, opt, baseRelation(g, opt))
+// match is the one instance-matching pipeline: resolve the plan
+// (planFor), gate the parallelism budget on its peak estimate, select
+// the bases through the plan's compiled predicates — from the cache c
+// when one is given — and compose the plan's joins as StreamJoin
+// stages over the start base's batch stream. It returns the streamed
+// match and the effective options its consumer should fold under.
+//
+// A joinless pattern's match is its selected base relation, which is
+// already resident: it comes back as rel (src is nil), to be used
+// as-is. Streaming it would only copy it, and like every selected base
+// it is exempt from MaxRows — the cap bounds what joins produce.
+func match(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, c *Cache) (src graphrel.RowSource, rel *graphrel.Relation, o ExecOptions, err error) {
+	if opt.Ctx != nil {
+		// Check once up front so even trivial patterns (no conditions,
+		// no joins — nothing that would recheck between morsels)
+		// observe an already-abandoned request.
+		if err := opt.Ctx.Err(); err != nil {
+			return nil, nil, opt, err
+		}
+	}
+	if p.PrimaryNode() == nil {
+		return nil, nil, opt, fmt.Errorf("etable: pattern has no primary node")
 	}
 	pl, err := planFor(g, p, opt)
 	if err != nil {
-		return nil, err
+		return nil, nil, opt, err
 	}
-	opt = opt.effectiveFor(pl)
-	return matchSourcePlanned(g, p, pl, opt, pl.baseRelation(g, opt))
+	o = opt.effectiveFor(pl)
+	bases, err := selectedBases(p, pl.baseRelation(g, o, c))
+	if err != nil {
+		return nil, nil, o, err
+	}
+	if len(pl.steps) == 0 {
+		return nil, bases[pl.startKey], o, nil
+	}
+	src, err = composeStream(bases, pl, o)
+	return src, nil, o, err
 }
 
-// matchSource is MatchSource with fresh planning, parameterized by the
-// base-relation builder: the NoPlanCache baseline's streamed path.
-func matchSource(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, base func(*PatternNode) (*graphrel.Relation, error)) (graphrel.RowSource, error) {
-	if opt.Ctx != nil {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if p.PrimaryNode() == nil {
-		return nil, fmt.Errorf("etable: pattern has no primary node")
-	}
-	bases, sizes, err := selectedBases(p, base)
-	if err != nil {
-		return nil, err
-	}
-	start, steps, err := planJoins(g, p, sizes)
-	if err != nil {
-		return nil, err
-	}
-	return composeStream(bases, start, steps, opt)
-}
-
-// matchSourcePlanned composes the streamed pipeline from a prepared
-// plan, parameterized by the base-relation builder so the executor's
-// cached bases slot in (Executor.base). The streaming path never
-// materializes intermediates, so it contributes nothing to the
-// feedback loop.
-func matchSourcePlanned(g *tgm.InstanceGraph, p *Pattern, pl *Plan, opt ExecOptions, base func(*PatternNode) (*graphrel.Relation, error)) (graphrel.RowSource, error) {
-	if opt.Ctx != nil {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if p.PrimaryNode() == nil {
-		return nil, fmt.Errorf("etable: pattern has no primary node")
-	}
-	bases, _, err := selectedBases(p, base)
-	if err != nil {
-		return nil, err
-	}
-	return composeStream(bases, pl.startKey, pl.steps, opt)
-}
-
-// composeStream chains the join plan as StreamJoin stages over the
-// driving base's batch stream — the shared tail of both source paths.
-func composeStream(bases map[string]*graphrel.Relation, start string, steps []JoinStep, opt ExecOptions) (graphrel.RowSource, error) {
-	src := graphrel.StreamRelationBatch(bases[start], streamBatchRows)
-	for _, st := range steps {
+// composeStream chains the plan's joins as StreamJoin stages over the
+// start base's batch stream, under opt's budget as given.
+func composeStream(bases map[string]*graphrel.Relation, pl *Plan, opt ExecOptions) (graphrel.RowSource, error) {
+	src := graphrel.StreamRelationBatch(bases[pl.startKey], streamBatchRows)
+	for _, st := range pl.steps {
 		var err error
-		src, err = graphrel.StreamJoin(opt.Ctx, opt.Pool, opt.Parallelism, src, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey)
-		if err != nil {
+		if src, err = graphrel.StreamJoin(opt.Ctx, opt.Pool, opt.Parallelism, src, bases[st.NewKey], st.EdgeName, st.AnchorKey, st.NewKey); err != nil {
 			return nil, err
 		}
 	}
 	return src, nil
+}
+
+// matchDrained is match drained into one relation under the row cap:
+// the body of every materializing entry point (MatchOpts, the
+// executor's match cache fills).
+func matchDrained(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions, c *Cache) (*graphrel.Relation, error) {
+	src, rel, o, err := match(g, p, opt, c)
+	if err != nil || rel != nil {
+		return rel, err
+	}
+	return materializeMax(src, o.MaxRows)
+}
+
+// MatchSource returns the pattern's instance matching m(Q) as a
+// pull-based stream of morsel batches (see match). Concatenating the
+// stream's batches in order yields exactly MatchOpts(g, p, opt);
+// consuming only a window of it does only the driving-side work that
+// window needs. A joinless pattern streams its base relation as
+// zero-copy slices. The caller must Close the source (Materialize and
+// PrepareFromSource do so themselves).
+func MatchSource(g *tgm.InstanceGraph, p *Pattern, opt ExecOptions) (graphrel.RowSource, error) {
+	src, rel, _, err := match(g, p, opt, nil)
+	if rel != nil {
+		return graphrel.StreamRelationBatch(rel, streamBatchRows), nil
+	}
+	return src, err
 }
 
 // materializeMax drains a streamed match under the options' row cap
@@ -290,10 +215,10 @@ func beginSpill(g *tgm.InstanceGraph, src graphrel.RowSource, pol *graphrel.Spil
 // groupings through incremental pair folds (graphrel.AppendGroupPairs),
 // and the batches themselves are retained and spliced into the
 // materialized relation on EOF — the lazy-materialization point that
-// preserves cache/pin semantics. The returned presentation and
-// relation are identical to PrepareOpts over the eager match: rows are
-// a pure function of the tuple set (ID-sorted), groups are sorted and
-// deduplicated by SortDedupGroups, and the splice preserves row order.
+// preserves cache/pin semantics. The returned presentation is identical
+// to PrepareOpts over the drained match: rows are a pure function of
+// the tuple set (ID-sorted), groups are sorted and deduplicated by
+// SortDedupGroups, and the splice preserves row order.
 // The source is Closed before returning, success or not.
 //
 // With a spill policy set, crossing MaxRows does not fail: the heap
@@ -327,8 +252,8 @@ func PrepareFromSource(g *tgm.InstanceGraph, p *Pattern, src graphrel.RowSource,
 
 	// Single pass over the stream: retain batches for the final splice
 	// and fold rows and groups incrementally. Batches arrive in the
-	// eager relation's row order, so the folds accumulate exactly what
-	// the eager passes compute over the whole relation.
+	// drained relation's row order, so the folds accumulate exactly what
+	// PrepareOpts' passes compute over the whole relation.
 	seen := graphrel.NewBitset(g.NumNodes())
 	var rowIDs []tgm.NodeID
 	var batches []*graphrel.Relation

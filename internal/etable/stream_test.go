@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/graphrel"
+	"repro/internal/tgm"
 )
 
 // withSmallStreamBatches shrinks the streamed pipeline's batch size so
@@ -44,10 +46,45 @@ func assertSameRelations(t *testing.T, label string, got, want *graphrel.Relatio
 	}
 }
 
-// TestStreamMatchEquivalence asserts MatchOpts in streaming mode is
-// row-identical to the eager mode on the paper's figure patterns, with
-// batch sizes small enough that the pipeline spans many batches, both
-// serial and pooled.
+// naiveTuples is the equivalence oracle: the canonical tuple multiset
+// of MatchNaive, the plan-free declaration-order matcher.
+func naiveTuples(t testing.TB, g *tgm.InstanceGraph, p *Pattern) []string {
+	t.Helper()
+	ref, err := MatchNaive(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canonMatch(ref)
+}
+
+// naivePresentation prepares the oracle's match: the reference every
+// streamed, spilled, or cached presentation must render identically to.
+func naivePresentation(t testing.TB, g *tgm.InstanceGraph, p *Pattern) *Presentation {
+	t.Helper()
+	ref, err := MatchNaive(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := Prepare(g, p, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
+// assertSameTuples asserts got matches the oracle's canonical tuples.
+func assertSameTuples(t testing.TB, label string, got *graphrel.Relation, want []string) {
+	t.Helper()
+	if !reflect.DeepEqual(canonMatch(got), want) {
+		t.Fatalf("%s: tuple set diverges from MatchNaive (%d vs %d tuples)", label, got.Len(), len(want))
+	}
+}
+
+// TestStreamMatchEquivalence asserts MatchOpts matches the MatchNaive
+// oracle on the paper's figure patterns, with batch sizes small enough
+// that the pipeline spans many batches, both serial and pooled — and
+// that the drained relation is row-identical whatever the chunking or
+// budget (the splice is deterministic, so cached relations are too).
 func TestStreamMatchEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -55,33 +92,36 @@ func TestStreamMatchEquivalence(t *testing.T) {
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
 	} {
-		want, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := naiveTuples(t, tr.Instance, p)
+		var first *graphrel.Relation
 		for _, tc := range []struct {
 			label string
 			batch int
 			opt   ExecOptions
 		}{
-			{"serial_small_batches", 7, ExecOptions{Stream: StreamOn}},
-			{"serial_morsel", 0, ExecOptions{Stream: StreamOn}},
-			{"pooled", 13, ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4, Stream: StreamOn}},
+			{"serial_small_batches", 7, ExecOptions{}},
+			{"serial_morsel", 0, ExecOptions{}},
+			{"pooled", 13, ExecOptions{Ctx: context.Background(), Pool: pool, Parallelism: 4}},
 		} {
 			withSmallStreamBatches(t, tc.batch)
 			got, err := MatchOpts(tr.Instance, p, tc.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRelations(t, name+"/"+tc.label, got, want)
+			assertSameTuples(t, name+"/"+tc.label, got, want)
+			if first == nil {
+				first = got
+			}
+			assertSameRelations(t, name+"/"+tc.label+"/rows", got, first)
 		}
 	}
 }
 
 // TestStreamMatchEquivalenceRandomized fuzzes the streamed match
-// against the eager one: random year thresholds vary the selectivity,
-// random batch sizes vary the pipeline's chunking, and random budgets
-// vary the fan-out — the result must stay row-identical throughout.
+// against the MatchNaive oracle: random year thresholds vary the
+// selectivity, random batch sizes vary the pipeline's chunking, and
+// random budgets vary the fan-out — the tuple set must stay identical
+// throughout.
 func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -93,12 +133,9 @@ func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 			opAdd(tr, "Paper_Authors"),
 			opAdd(tr, "Authors→Institutions"),
 		)
-		want, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := naiveTuples(t, tr.Instance, p)
 		withSmallStreamBatches(t, 1+rng.Intn(64))
-		opt := ExecOptions{Stream: StreamOn}
+		opt := ExecOptions{}
 		if rng.Intn(2) == 0 {
 			opt.Ctx, opt.Pool, opt.Parallelism = context.Background(), pool, 2+rng.Intn(4)
 		}
@@ -106,13 +143,14 @@ func TestStreamMatchEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSameRelations(t, fmt.Sprintf("trial=%d year>%d", trial, year), got, want)
+		assertSameTuples(t, fmt.Sprintf("trial=%d year>%d", trial, year), got, want)
 	}
 }
 
 // TestPrepareFromSourceEquivalence asserts the streamed presentation
-// fold produces a presentation and a materialized relation identical
-// to the eager PrepareOpts path — full renders compare cell for cell.
+// fold produces a presentation identical to PrepareOpts over the
+// MatchNaive oracle — full renders compare cell for cell — and a
+// materialized relation holding the oracle's tuples.
 func TestPrepareFromSourceEquivalence(t *testing.T) {
 	tr := planFixture(t)
 	pool := exec.NewPool(4)
@@ -121,20 +159,14 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 		"figure1": figure1PlanPattern(t, tr),
 		"figure7": figure7PlanPattern(t, tr),
 	} {
-		eagerMatched, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eagerPr, err := Prepare(tr.Instance, p, eagerMatched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := eagerPr.Window(0, -1)
+		wantTuples := naiveTuples(t, tr.Instance, p)
+		naivePr := naivePresentation(t, tr.Instance, p)
+		want, err := naivePr.Window(0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, budget := range []int{1, 4} {
-			opt := ExecOptions{Stream: StreamOn}
+			opt := ExecOptions{}
 			if budget > 1 {
 				opt.Ctx, opt.Pool, opt.Parallelism = context.Background(), pool, budget
 			}
@@ -146,9 +178,9 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSameRelations(t, name+"/matched", matched, eagerMatched)
-			if pr.NumRows() != eagerPr.NumRows() {
-				t.Fatalf("%s: %d rows, want %d", name, pr.NumRows(), eagerPr.NumRows())
+			assertSameTuples(t, name+"/matched", matched, wantTuples)
+			if pr.NumRows() != naivePr.NumRows() {
+				t.Fatalf("%s: %d rows, want %d", name, pr.NumRows(), naivePr.NumRows())
 			}
 			got, err := pr.Window(0, -1)
 			if err != nil {
@@ -161,7 +193,7 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ww, err := eagerPr.Window(w[0], w[1])
+				ww, err := naivePr.Window(w[0], w[1])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -171,29 +203,23 @@ func TestPrepareFromSourceEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecutorStreamingPreparePinned asserts the executor's streamed
-// prepare path: the compute leader folds the presentation off the
-// stream, the cached relation is identical to the eager path's, the
-// pin lands, and a second prepare (cache hit) yields an identical
-// presentation without streaming.
+// TestExecutorStreamingPreparePinned asserts the executor's prepare
+// path: the compute leader folds the presentation off the stream, the
+// cached relation holds the oracle's tuples, the pin lands, and a
+// second prepare (cache hit) yields an identical presentation without
+// streaming.
 func TestExecutorStreamingPreparePinned(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 17)
 	p := figure7PlanPattern(t, tr)
 
-	eager := NewExecutor(tr.Instance)
-	wantPr, wantPin, err := eager.PrepareWithOpts(p, ExecOptions{Stream: StreamOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wantPin.Release()
-	want, err := wantPr.Window(0, -1)
+	want, err := naivePresentation(t, tr.Instance, p).Window(0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	e := NewExecutor(tr.Instance)
-	pr, pin, err := e.PrepareWithOpts(p, ExecOptions{Stream: StreamOn})
+	pr, pin, err := e.PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,27 +228,23 @@ func TestExecutorStreamingPreparePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "streamed-vs-eager", got, want)
+	assertSameResults(t, "streamed-vs-naive", got, want)
 	if e.Cache().PinnedCount() != 1 {
 		t.Fatalf("pinned count = %d, want 1", e.Cache().PinnedCount())
 	}
 
-	// The cached (pinned) relation must be identical to the eager match.
+	// The cached (pinned) relation holds exactly the oracle's tuples.
 	rel, ok := e.Cache().Get(matchPrefix + Signature(p))
 	if !ok {
 		t.Fatal("streamed match not cached")
 	}
-	wantRel, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRelations(t, "cached", rel, wantRel)
+	assertSameTuples(t, "cached", rel, naiveTuples(t, tr.Instance, p))
 
-	// Cache hit: prepares eagerly from the cached relation, same output.
+	// Cache hit: prepares from the cached relation, same output.
 	if misses := e.Misses(); misses == 0 {
 		t.Fatal("expected at least one miss")
 	}
-	pr2, pin2, err := e.PrepareWithOpts(p, ExecOptions{Stream: StreamOn})
+	pr2, pin2, err := e.PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,38 +253,34 @@ func TestExecutorStreamingPreparePinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameResults(t, "hit-vs-eager", got2, want)
+	assertSameResults(t, "hit-vs-naive", got2, want)
 }
 
-// TestExecutorStreamingMatchCached asserts MatchWithOpts under
-// streaming caches the materialized relation and serves hits without
-// recomputation.
+// TestExecutorStreamingMatchCached asserts MatchWithOpts caches the
+// drained relation, serves hits without recomputation, and holds the
+// oracle's tuples.
 func TestExecutorStreamingMatchCached(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 9)
 	p := figure1PlanPattern(t, tr)
 	e := NewExecutor(tr.Instance)
-	first, err := e.MatchWithOpts(p, ExecOptions{Stream: StreamOn})
+	first, err := e.MatchWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := e.MatchWithOpts(p, ExecOptions{Stream: StreamOn})
+	second, err := e.MatchWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first != second {
 		t.Error("cache hit returned a different relation")
 	}
-	want, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: StreamOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRelations(t, "cached-stream-match", first, want)
+	assertSameTuples(t, "cached-stream-match", first, naiveTuples(t, tr.Instance, p))
 }
 
 // TestMaxRowsGuard asserts the MaxRows cap fails oversized
-// materializations with *graphrel.RowLimitError on both execution
-// modes, and admits results at or under the cap.
+// materializations with *graphrel.RowLimitError, serial and pooled,
+// and admits results at or under the cap.
 func TestMaxRowsGuard(t *testing.T) {
 	tr := planFixture(t)
 	withSmallStreamBatches(t, 9)
@@ -277,64 +295,36 @@ func TestMaxRowsGuard(t *testing.T) {
 	if full.Len() < 10 {
 		t.Fatalf("fixture too small: %d match rows", full.Len())
 	}
-	for _, mode := range []StreamMode{StreamOff, StreamOn} {
-		_, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: mode, MaxRows: 5})
+	pool := exec.NewPool(4)
+	for _, budget := range []int{1, 4} {
+		opt := ExecOptions{Pool: pool, Parallelism: budget, MaxRows: 5}
+		_, err := MatchOpts(tr.Instance, p, opt)
 		var rle *graphrel.RowLimitError
 		if !errors.As(err, &rle) || rle.Limit != 5 {
-			t.Fatalf("mode=%d: err = %v, want RowLimitError{5}", mode, err)
+			t.Fatalf("budget=%d: err = %v, want RowLimitError{5}", budget, err)
 		}
-		ok, err := MatchOpts(tr.Instance, p, ExecOptions{Stream: mode, MaxRows: full.Len()})
+		opt.MaxRows = full.Len()
+		ok, err := MatchOpts(tr.Instance, p, opt)
 		if err != nil {
-			t.Fatalf("mode=%d at-cap: %v", mode, err)
+			t.Fatalf("budget=%d at-cap: %v", budget, err)
 		}
-		assertSameRelations(t, fmt.Sprintf("mode=%d at-cap", mode), ok, full)
+		assertSameRelations(t, fmt.Sprintf("budget=%d at-cap", budget), ok, full)
 	}
 	// The streamed prepare fold enforces the cap too, and errors are
 	// never cached (a later uncapped prepare succeeds).
 	e := NewExecutor(tr.Instance)
-	_, _, err = e.PrepareWithOpts(p, ExecOptions{Stream: StreamOn, MaxRows: 5})
+	_, _, err = e.PrepareWithOpts(p, ExecOptions{MaxRows: 5})
 	var rle *graphrel.RowLimitError
 	if !errors.As(err, &rle) {
 		t.Fatalf("streamed prepare err = %v, want RowLimitError", err)
 	}
-	pr, pin, err := e.PrepareWithOpts(p, ExecOptions{Stream: StreamOn})
+	pr, pin, err := e.PrepareWithOpts(p, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pin.Release()
 	if pr.NumRows() == 0 {
 		t.Error("uncapped prepare after capped failure returned no rows")
-	}
-}
-
-// TestWantStreamGate pins the streaming decision: joinless patterns and
-// StreamOff never stream, StreamOn streams any join, and StreamAuto is
-// cost-gated by EstimatePattern against streamMinEstRows.
-func TestWantStreamGate(t *testing.T) {
-	tr := planFixture(t)
-	joinless := buildPattern(t, tr, "Papers", opSelect("year > 2000"))
-	joined := figure7PlanPattern(t, tr)
-	for _, tc := range []struct {
-		name string
-		p    *Pattern
-		mode StreamMode
-		want bool
-	}{
-		{"joinless_on", joinless, StreamOn, false},
-		{"joinless_auto", joinless, StreamAuto, false},
-		{"joined_on", joined, StreamOn, true},
-		{"joined_off", joined, StreamOff, false},
-	} {
-		opt := ExecOptions{Stream: tc.mode}
-		if got := opt.wantStream(tr.Instance, tc.p); got != tc.want {
-			t.Errorf("%s: wantStream = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	// Auto on this corpus follows the estimate against the gate.
-	est := EstimatePattern(tr.Instance, joined)
-	opt := ExecOptions{Stream: StreamAuto}
-	if got, want := opt.wantStream(tr.Instance, joined), est >= streamMinEstRows; got != want {
-		t.Errorf("auto: wantStream = %v, want %v (est %v)", got, want, est)
 	}
 }
 
@@ -346,7 +336,7 @@ func TestStreamingCancellation(t *testing.T) {
 	p := figure7PlanPattern(t, tr)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opt := ExecOptions{Ctx: ctx, Pool: exec.NewPool(2), Parallelism: 4, Stream: StreamOn}
+	opt := ExecOptions{Ctx: ctx, Pool: exec.NewPool(2), Parallelism: 4}
 	if _, err := MatchOpts(tr.Instance, p, opt); !errors.Is(err, context.Canceled) {
 		t.Errorf("MatchOpts err = %v, want Canceled", err)
 	}

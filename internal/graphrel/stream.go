@@ -399,7 +399,7 @@ func (e *RowLimitError) Error() string {
 }
 
 // LimitExceeded builds the row-cap error every enforcement point —
-// the eager per-step check, the streamed per-batch check, and the
+// the streamed per-batch check, the spill byte budget, and the
 // session's pre-window check — routes through, so the surfaced payload
 // (cap, observed rows) is identical no matter which layer tripped.
 func LimitExceeded(limit, rows int) *RowLimitError {

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/ops"
+	"repro/internal/translate"
 )
 
 // v1State mirrors the v1 state payload.
@@ -486,3 +489,83 @@ func TestV1OpsBadBodies(t *testing.T) {
 // etable.Presentation (the windowed transform); its clamping rules are
 // pinned by TestPresentationWindowEdgeCases in internal/etable and by
 // the HTTP paging edge-case tests in server_test.go.
+
+// TestV1CreateWithOpsPaging: a create with initial ops windows its
+// response by offset/limit exactly like an op POST, rejects a cursor,
+// and renders before registering — so a create whose first render is
+// refused (413 under MaxRows) leaves the session count unchanged and
+// evicts no live session.
+func TestV1CreateWithOpsPaging(t *testing.T) {
+	db, err := dataset.Generate(dataset.Config{Papers: 40, Authors: 20, Institutions: 5, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := translate.Translate(db, translate.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewWithOptions(tr.Schema, tr.Instance,
+		Options{MaxRows: 20, SpillDir: "off", MaxSessions: 1}))
+	t.Cleanup(ts.Close)
+	open := map[string]any{"ops": []map[string]any{{"op": "open", "table": "Papers"}}}
+
+	var st v1State
+	if code := doJSON(t, "POST", ts.URL+"/api/v1/sessions?limit=10", open, &st); code != http.StatusCreated {
+		t.Fatalf("create ?limit=10 = %d", code)
+	}
+	if len(st.Rows) != 10 || st.TotalRows != 40 || st.NextCursor == "" {
+		t.Fatalf("create ?limit=10: %d rows of %d, cursor %q", len(st.Rows), st.TotalRows, st.NextCursor)
+	}
+	var tail v1State
+	if code := doJSON(t, "POST", ts.URL+"/api/v1/sessions?offset=35&limit=10", open, &tail); code != http.StatusCreated {
+		t.Fatalf("create ?offset=35 = %d", code)
+	}
+	if len(tail.Rows) != 5 || tail.Offset != 35 {
+		t.Fatalf("create ?offset=35&limit=10: %d rows at offset %d", len(tail.Rows), tail.Offset)
+	}
+	var env v1Error
+	if code := doJSON(t, "POST", ts.URL+"/api/v1/sessions?cursor="+st.NextCursor, open, &env); code != http.StatusBadRequest || env.Code != codeBadPage {
+		t.Fatalf("create with cursor = %d %+v, want 400 %s", code, env, codeBadPage)
+	}
+
+	// A live session, then creates whose first render the row cap
+	// refuses: explicitly oversized, and unpaged (every row).
+	var live v1State
+	if code := doJSON(t, "POST", ts.URL+"/api/v1/sessions", nil, &live); code != http.StatusCreated {
+		t.Fatalf("bare create = %d", code)
+	}
+	sessions := func() int {
+		t.Helper()
+		var stats struct {
+			Sessions int `json:"sessions"`
+		}
+		if code := doJSON(t, "GET", ts.URL+"/api/v1/stats", nil, &stats); code != http.StatusOK {
+			t.Fatalf("stats = %d", code)
+		}
+		return stats.Sessions
+	}
+	before := sessions()
+	for _, query := range []string{"?limit=30", ""} {
+		var env v1Error
+		if code := doJSON(t, "POST", ts.URL+"/api/v1/sessions"+query, open, &env); code != http.StatusRequestEntityTooLarge || env.Code != codeResultTooLarge {
+			t.Fatalf("create%s = %d %+v, want 413 %s", query, code, env, codeResultTooLarge)
+		}
+	}
+	if after := sessions(); after != before {
+		t.Fatalf("refused creates changed the session count: %d -> %d", before, after)
+	}
+	if code := doJSON(t, "GET", fmt.Sprintf("%s/api/v1/sessions/%d", ts.URL, live.ID), nil, &v1State{}); code != http.StatusOK {
+		t.Fatalf("live session after refused creates = %d, want 200 (evicted?)", code)
+	}
+
+	// Without a cap, a create with no query parameters returns every row.
+	uncapped := httptest.NewServer(NewWithOptions(tr.Schema, tr.Instance, Options{}))
+	t.Cleanup(uncapped.Close)
+	var all v1State
+	if code := doJSON(t, "POST", uncapped.URL+"/api/v1/sessions", open, &all); code != http.StatusCreated {
+		t.Fatalf("uncapped create = %d", code)
+	}
+	if len(all.Rows) != 40 || all.TotalRows != 40 {
+		t.Fatalf("uncapped create: %d rows of %d, want all 40", len(all.Rows), all.TotalRows)
+	}
+}

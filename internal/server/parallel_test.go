@@ -192,7 +192,6 @@ func TestStatsPlannerBlock(t *testing.T) {
 			Entries                int    `json:"entries"`
 			GreedyPlans            int64  `json:"greedyPlans"`
 			CostPlans              int64  `json:"costPlans"`
-			FeedbackReplans        int64  `json:"feedbackReplans"`
 			AdaptiveThresholdNodes int    `json:"adaptiveThresholdNodes"`
 		} `json:"planner"`
 	}

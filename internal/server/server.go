@@ -434,8 +434,8 @@ type errorJSON struct {
 	// Limit and Rows accompany code result_too_large: the server's row
 	// cap and the rows the query had observed when it was cut off. The
 	// payload is identical whichever path rejected the query — the
-	// eager per-step check, the streamed per-batch check, the spill
-	// byte budget, or the session's pre-window guard.
+	// streamed per-batch check, the spill byte budget, or the
+	// session's pre-window guard.
 	Limit int `json:"limit,omitempty"`
 	Rows  int `json:"rows,omitempty"`
 }
@@ -609,10 +609,8 @@ type spillJSON struct {
 }
 
 // plannerJSON is the plan-cache telemetry block of /api/v1/stats: how
-// often queries reuse a prepared plan (hits vs misses), how the
-// adaptive planner split its decisions (greedy vs cost-model plans),
-// and how often the runtime feedback loop replaced a cached plan whose
-// estimates diverged from observed cardinalities.
+// often queries reuse a prepared plan (hits vs misses) and how the
+// adaptive planner split its decisions (greedy vs cost-model plans).
 type plannerJSON struct {
 	// Mode is the server-wide planner policy ("auto" unless forced for
 	// ablation).
@@ -627,9 +625,6 @@ type plannerJSON struct {
 	// policy (after adaptive resolution).
 	GreedyPlans int64 `json:"greedyPlans"`
 	CostPlans   int64 `json:"costPlans"`
-	// FeedbackReplans counts cached plans replaced (or recalibrated)
-	// because observed join cardinalities diverged from the estimates.
-	FeedbackReplans int64 `json:"feedbackReplans"`
 	// AdaptiveThresholdNodes is the corpus size at which PlannerAuto
 	// switches from greedy to cost-model ordering.
 	AdaptiveThresholdNodes int `json:"adaptiveThresholdNodes"`
@@ -726,7 +721,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Evictions:              ps.Evictions,
 			GreedyPlans:            ps.GreedyPlans,
 			CostPlans:              ps.CostPlans,
-			FeedbackReplans:        ps.Replans,
 			AdaptiveThresholdNodes: ps.AdaptiveThreshold,
 		}
 		st := stats.For(def.Graph())
@@ -887,19 +881,20 @@ type createSessionBody struct {
 	Ops ops.Pipeline `json:"ops"`
 }
 
-// createSession builds a session bound to ds, applies any initial ops
-// from the request body, and registers it. If the initial ops fail, no
-// session is created. Returns the new id and entry.
-func (s *Server) createSession(ctx context.Context, r *http.Request, ds *registry.Dataset) (int64, *sessionEntry, error) {
+// newSession builds a session bound to ds and applies any initial ops
+// from the request body. The session is not registered yet (see
+// register); if the initial ops fail it is closed and the error
+// returned.
+func (s *Server) newSession(ctx context.Context, r *http.Request, ds *registry.Dataset) (*session.Session, error) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
-		return 0, nil, apiErr(http.StatusBadRequest, codeBadBody, "reading body: %v", err)
+		return nil, apiErr(http.StatusBadRequest, codeBadBody, "reading body: %v", err)
 	}
 	var initial ops.Pipeline
 	if len(bytes.TrimSpace(body)) > 0 {
 		var cb createSessionBody
 		if err := strictDecode(body, &cb); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		initial = cb.Ops
 	}
@@ -921,9 +916,16 @@ func (s *Server) createSession(ctx context.Context, r *http.Request, ds *registr
 	sess.SetWindowRecycling(true)
 	if len(initial) > 0 {
 		if err := sess.ApplyPipelineCtx(ctx, initial); err != nil {
-			return 0, nil, err
+			sess.Close()
+			return nil, err
 		}
 	}
+	return sess, nil
+}
+
+// register adds a built session to the session table under a fresh id,
+// evicting per the TTL and LRU policy, and returns the id.
+func (s *Server) register(sess *session.Session, ds *registry.Dataset) int64 {
 	e := &sessionEntry{sess: sess, ds: ds}
 	e.lastUsed.Store(s.now().UnixNano())
 	s.mu.Lock()
@@ -933,7 +935,7 @@ func (s *Server) createSession(ctx context.Context, r *http.Request, ds *registr
 	s.sessions[id] = e
 	s.mu.Unlock()
 	closeSessions(evicted)
-	return id, e, nil
+	return id
 }
 
 // spillPolicy builds the spill-to-disk policy a new session on ds
@@ -958,7 +960,8 @@ func (s *Server) spillPolicy(ds *registry.Dataset) *graphrel.SpillPolicy {
 // POST /api/session: create a session, optionally applying a body of
 // initial ops ({"ops": [...]}) so create+open is one round trip. The
 // response is the session state with its id (a superset of the legacy
-// {"id": n} shape).
+// {"id": n} shape), windowed by offset/limit exactly like an op
+// response.
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// The ?parallelism= override validates and applies here too — the
 	// initial-ops pipeline is the request most likely to replay a long
@@ -973,19 +976,34 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, err)
 		return
 	}
-	id, e, err := s.createSession(ctx, r, ds)
+	p, err := pageFromQuery(r)
 	if err != nil {
 		s.writeErr(w, err)
 		return
 	}
-	e.mu.Lock()
-	st, serr := s.stateOf(ctx, e.sess, page{})
-	e.mu.Unlock()
-	if serr != nil {
-		s.writeErr(w, serr)
+	if p.cursor != nil {
+		// A cursor addresses an existing table state; a new session has
+		// none it could have been issued against.
+		s.writeErr(w, apiErr(http.StatusBadRequest, codeBadPage,
+			"cursor cannot page a create response; use offset/limit"))
 		return
 	}
-	st.ID = id
+	sess, err := s.newSession(ctx, r, ds)
+	if err != nil {
+		s.writeErr(w, err)
+		return
+	}
+	// Render before registering: a rejected render (413 under
+	// -max-rows) leaves no orphaned session behind and evicts no live
+	// one. Unregistered, the session is reachable from this request
+	// only, so no entry lock is needed.
+	st, err := s.stateOf(ctx, sess, p)
+	if err != nil {
+		sess.Close()
+		s.writeErr(w, err)
+		return
+	}
+	st.ID = s.register(sess, ds)
 	s.writeJSON(w, http.StatusCreated, st)
 }
 

@@ -259,10 +259,9 @@ func NewWithExec(schema *tgm.SchemaGraph, graph *tgm.InstanceGraph, cache *etabl
 }
 
 // SetMaxRows caps the rows any single request on this session may
-// materialize (0 = unbounded, the default). Oversized matches fail
-// mid-execution with a *graphrel.RowLimitError — before the full
-// relation exists on the streaming path, after the offending join step
-// on the eager one — and oversized explicit window requests are
+// materialize (0 = unbounded, the default). Oversized join results fail
+// mid-execution with a *graphrel.RowLimitError, before the full
+// relation exists, and oversized explicit window requests are
 // rejected before any cell is transformed. The cap guards the server
 // against a single pathological query (a high-fanout join chain, or an
 // unbounded read of a huge table) holding result-sized memory; paging

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/etable"
 	"repro/internal/exec"
+	"repro/internal/tgm"
 	"repro/internal/translate"
 )
 
@@ -101,8 +102,8 @@ func renderResult(res *etable.Result) string {
 
 // TestRandomRoundTripEquivalence: generate → translate → Save → Load,
 // then random patterns must render byte-identical results on the
-// loaded graph versus the fresh one across the eager, streaming, and
-// parallel execution arms.
+// loaded graph versus the fresh one across the MatchNaive oracle, the
+// serial, and the parallel execution arms.
 func TestRandomRoundTripEquivalence(t *testing.T) {
 	tr := testGraph(t)
 	snap, err := Decode(saveBytes(t, tr.Instance))
@@ -111,13 +112,18 @@ func TestRandomRoundTripEquivalence(t *testing.T) {
 	}
 
 	pool := exec.NewPool(4)
+	execute := func(opt etable.ExecOptions) func(*tgm.InstanceGraph, *etable.Pattern) (*etable.Result, error) {
+		return func(g *tgm.InstanceGraph, p *etable.Pattern) (*etable.Result, error) {
+			return etable.ExecuteOpts(g, p, opt)
+		}
+	}
 	arms := []struct {
 		name string
-		opt  etable.ExecOptions
+		run  func(*tgm.InstanceGraph, *etable.Pattern) (*etable.Result, error)
 	}{
-		{"eager", etable.ExecOptions{Stream: etable.StreamOff}},
-		{"streaming", etable.ExecOptions{Stream: etable.StreamOn}},
-		{"parallel", etable.ExecOptions{Stream: etable.StreamOff, Pool: pool, Parallelism: 4}},
+		{"naive", executeNaive},
+		{"serial", execute(etable.ExecOptions{})},
+		{"parallel", execute(etable.ExecOptions{Pool: pool, Parallelism: 4})},
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -130,11 +136,11 @@ func TestRandomRoundTripEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("trial%02d", i), func(t *testing.T) {
 			var want string
 			for _, arm := range arms {
-				fresh, err := etable.ExecuteOpts(tr.Instance, p, arm.opt)
+				fresh, err := arm.run(tr.Instance, p)
 				if err != nil {
 					t.Fatalf("%s on fresh graph: %v\npattern: %s", arm.name, err, p)
 				}
-				loaded, err := etable.ExecuteOpts(snap.Graph, p, arm.opt)
+				loaded, err := arm.run(snap.Graph, p)
 				if err != nil {
 					t.Fatalf("%s on loaded graph: %v\npattern: %s", arm.name, err, p)
 				}
@@ -154,6 +160,20 @@ func TestRandomRoundTripEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// executeNaive renders the pattern over the MatchNaive oracle's match:
+// the plan-free reference the executed arms must agree with.
+func executeNaive(g *tgm.InstanceGraph, p *etable.Pattern) (*etable.Result, error) {
+	matched, err := etable.MatchNaive(g, p)
+	if err != nil {
+		return nil, err
+	}
+	pr, err := etable.Prepare(g, p, matched)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Window(0, -1)
 }
 
 // TestConcurrentLoadedGraphQueries hammers one loaded graph from many
@@ -186,9 +206,6 @@ func TestConcurrentLoadedGraphQueries(t *testing.T) {
 		go func(i int, p *etable.Pattern) {
 			defer wg.Done()
 			opt := etable.ExecOptions{}
-			if i%3 == 0 {
-				opt.Stream = etable.StreamOn
-			}
 			if i%2 == 0 {
 				opt.Pool, opt.Parallelism = pool, 2
 			}

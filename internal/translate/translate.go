@@ -590,8 +590,16 @@ func (tr *translator) buildInstance() error {
 		}
 	}
 
-	// Categorical attributes → attribute nodes + edges.
-	for table, cols := range tr.categoricals {
+	// Categorical attributes → attribute nodes + edges, tables in sorted
+	// order: node IDs must not depend on map iteration, or two
+	// translations of one database would number them differently.
+	tables := make([]string, 0, len(tr.categoricals))
+	for table := range tr.categoricals {
+		tables = append(tables, table)
+	}
+	sort.Strings(tables)
+	for _, table := range tables {
+		cols := tr.categoricals[table]
 		t, _ := tr.db.Table(table)
 		s := t.Schema()
 		entIDs := tr.nodeIDs[table]

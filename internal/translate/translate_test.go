@@ -332,6 +332,28 @@ func TestCategoricalAttributes(t *testing.T) {
 	}
 }
 
+// TestCategoricalNodeIDsDeterministic: two translations of one
+// database number the categorical nodes identically, whatever the
+// order the lifted tables are visited in.
+func TestCategoricalNodeIDsDeterministic(t *testing.T) {
+	opts := Options{CategoricalAttrs: []string{"Papers.year", "Institutions.country"}}
+	want := translateFig3(t, opts).Instance
+	for i := 0; i < 20; i++ {
+		got := translateFig3(t, opts).Instance
+		for _, nt := range []string{"Papers: year", "Institutions: country"} {
+			w, g := want.NodesOfType(nt), got.NodesOfType(nt)
+			if len(g) != len(w) {
+				t.Fatalf("%s: %d nodes, want %d", nt, len(g), len(w))
+			}
+			for k := range w {
+				if g[k] != w[k] {
+					t.Fatalf("translation %d: %s node %d has ID %d, want %d", i, nt, k, g[k], w[k])
+				}
+			}
+		}
+	}
+}
+
 func TestAutoCategorical(t *testing.T) {
 	res := translateFig3(t, Options{AutoCategorical: true, MaxCategoricalCardinality: 5})
 	// Everything low-cardinality and non-key becomes categorical,
